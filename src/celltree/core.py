@@ -58,10 +58,11 @@ class Dataset:
 
     ``xs`` has shape (n, d) float64 and ``ys`` shape (n,) int8. Arrays are
     copied on construction and marked read-only, so views handed to builders
-    can never be mutated behind their back.
+    can never be mutated behind their back. ``ranks`` is the per-dimension
+    presort, built on first use and kept for the dataset's lifetime.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "_ranks")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
@@ -80,9 +81,31 @@ class Dataset:
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_ranks", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Dataset is immutable")
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """Read-only (d, n) int64 presort: point i's position in the strict
+        (value, index) order of each coordinate.
+
+        A stable argsort of a column realizes that order, so ``ranks[dim]``
+        is a permutation of 0..n-1 and comparing ranks compares points. All
+        d rows are built on first use, at 8 * d * n bytes, and kept. Threads
+        that race on the first use compute the same array; one copy is kept.
+        """
+        ranks = self._ranks
+        if ranks is None:
+            ranks = np.empty((self.d, self.n), dtype=np.int64)
+            positions = np.arange(self.n, dtype=np.int64)
+            for dim in range(self.d):
+                column = np.ascontiguousarray(self.xs[:, dim])
+                ranks[dim, np.argsort(column, kind="stable")] = positions
+            ranks.flags.writeable = False
+            object.__setattr__(self, "_ranks", ranks)
+        return ranks
 
     @property
     def n(self) -> int:
@@ -117,7 +140,7 @@ class Dataset:
         return cls(np.empty((0, d), dtype=np.float64), np.empty(0, dtype=np.int8))
 
     def full_view(self) -> "DataView":
-        return DataView(self, np.arange(self.n, dtype=np.int64))
+        return DataView._trusted(self, np.arange(self.n, dtype=np.int64))
 
 
 class DataView:
@@ -143,6 +166,18 @@ class DataView:
         indices.flags.writeable = False
         object.__setattr__(self, "dataset", dataset)
         object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def _trusted(cls, dataset: Dataset, indices: np.ndarray) -> "DataView":
+        """View over a fresh int64 array already known to be strictly
+        ascending and in range; skips the checks and the copy and takes
+        ownership of ``indices``. For children built by the median kernel.
+        """
+        indices.flags.writeable = False
+        view = object.__new__(cls)
+        object.__setattr__(view, "dataset", dataset)
+        object.__setattr__(view, "indices", indices)
+        return view
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("DataView is immutable")
@@ -270,10 +305,14 @@ def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
     """Route a query point to its leaf; returns (leaf, depth).
 
     Depth counts split events: one full level, binary or 2^d-ary, adds one.
+    Non-finite coordinates raise ValueError: a NaN compares false against
+    every cut and would otherwise be sent high all the way down.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.d,):
         raise ValueError(f"query must have shape ({tree.d},)")
+    if not np.isfinite(x).all():
+        raise ValueError("query coordinates must be finite")
     node = tree.root
     depth = 0
     while isinstance(node, Internal):
@@ -293,10 +332,15 @@ def classify(tree: PartitionTree, x: Sequence[float]) -> int:
 
 
 def _apply_tree(tree: PartitionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized routing. Returns (labels, depths) for all rows of X."""
+    """Vectorized routing. Returns (labels, depths) for all rows of X.
+
+    Raises ValueError if any coordinate is non-finite, as ``route`` does.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.d:
         raise ValueError(f"queries must have shape (m, {tree.d})")
+    if not np.isfinite(X).all():
+        raise ValueError("query coordinates must be finite")
     m = X.shape[0]
     labels = np.zeros(m, dtype=np.int8)
     depths = np.zeros(m, dtype=np.int64)
@@ -485,10 +529,18 @@ def _parse_node(doc, d: int, arity: int) -> Node:
 
 
 def deserialize_tree(text: str) -> PartitionTree:
+    """Parse and validate a tree document.
+
+    Every malformed document raises TreeSchemaError, including one nested
+    deeper than the parser's recursion allows; a tree built by median
+    splits is at most about log2(n) levels deep, so no real document is.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeSchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise TreeSchemaError("document nested too deeply") from None
     if not isinstance(doc, dict) or set(doc) != {"mode", "d", "config", "root"}:
         raise TreeSchemaError("document must have keys mode, d, config, root")
     mode, d, config = doc["mode"], doc["d"], doc["config"]
@@ -501,7 +553,10 @@ def deserialize_tree(text: str) -> PartitionTree:
     ):
         raise TreeSchemaError("config must map strings to JSON scalars")
     arity = 2 if mode == "binary" else 1 << d
-    root = _parse_node(doc["root"], d, arity)
+    try:
+        root = _parse_node(doc["root"], d, arity)
+    except RecursionError:
+        raise TreeSchemaError("document nested too deeply") from None
     return PartitionTree(root=root, d=d, mode=mode, config=config)
 
 

@@ -5,6 +5,13 @@ A median split at cell size n picks the r-th smallest point in the strict
 consumed: it belongs to neither child. Both children are then strictly
 smaller than the parent, which is what guarantees termination no matter how
 degenerate the coordinates are.
+
+The kernel never sorts a cell. It compares the dataset's presorted ranks
+(``Dataset.ranks``), which encode the strict order of the whole dataset and
+therefore of every subset of it: a cell's own ranks order its own points
+exactly as sorting them would. Selecting the r-th smallest rank is a linear
+partition, and masking the cell's ascending indices by rank keeps each child
+ascending without a sort (SLIQ/CART-style presorting).
 """
 from __future__ import annotations
 
@@ -13,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataView, strict_rank
+# strict_rank is the public statement of the order the kernel's ranks encode;
+# it stays importable here, where perfbench/layers.py looks it up
+from .core import DataView, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -36,13 +45,22 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
     n = view.n
     if n < 1:
         raise ValueError("cannot median-split an empty view")
-    ranked = strict_rank(view, dim)
+    dataset = view.dataset
+    if not 0 <= dim < dataset.d:
+        raise ValueError(f"dimension {dim} out of range for d={dataset.d}")
+    indices = view.indices
+    rk = dataset.ranks[dim][indices]
     r = (n + 1) // 2
-    pivot = int(ranked[r - 1])
-    threshold = float(view.dataset.xs[pivot, dim])
-    low = view.subset(np.sort(ranked[: r - 1]))
-    high = view.subset(np.sort(ranked[r:]))
-    return MedianSplit(dim=dim, pivot_index=pivot, threshold=threshold, low=low, high=high)
+    at = np.argpartition(rk, r - 1)[r - 1]
+    cut = rk[at]
+    pivot = int(indices[at])
+    return MedianSplit(
+        dim=dim,
+        pivot_index=pivot,
+        threshold=float(dataset.xs[pivot, dim]),
+        low=DataView._trusted(dataset, indices[rk < cut]),
+        high=DataView._trusted(dataset, indices[rk > cut]),
+    )
 
 
 @dataclass(frozen=True)

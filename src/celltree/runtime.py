@@ -144,7 +144,7 @@ class TraceRecord:
     seed: int
     decision_fp: str
     input_hash: str
-    view_indices: tuple[int, ...]
+    view_indices: np.ndarray  # the view's own read-only int64 indices
 
     def line(self) -> str:
         parent = self.parent_id or "-"
@@ -171,23 +171,23 @@ class BuildTrace:
 
 
 class _NodeSlot:
-    __slots__ = ("decision", "children")
+    """A decided cell awaiting assembly: a finished leaf, or a split's cuts
+    and pivots plus its children's slots. Child views are not kept here, so
+    each generation's index arrays are freed once its children have run."""
+
+    __slots__ = ("leaf", "splits", "eaten", "children")
 
     def __init__(self):
-        self.decision: CellDecision | None = None
+        self.leaf: Leaf | None = None
+        self.splits: tuple[tuple[int, float], ...] = ()
+        self.eaten: tuple[int, ...] = ()
         self.children: list["_NodeSlot"] = []
 
 
 def _freeze(slot: _NodeSlot) -> Node:
-    decision = slot.decision
-    if isinstance(decision, LeafDecision):
-        return Leaf(decision.count0, decision.count1)
-    assert isinstance(decision, SplitDecision)
-    return Internal(
-        decision.splits,
-        decision.eaten,
-        tuple(_freeze(c) for c in slot.children),
-    )
+    if slot.leaf is not None:
+        return slot.leaf
+    return Internal(slot.splits, slot.eaten, tuple(_freeze(c) for c in slot.children))
 
 
 def run_cells(
@@ -200,7 +200,9 @@ def run_cells(
     """Execute a cell tree to completion and assemble the node tree.
 
     Cells are processed frontier by frontier. Within a frontier every cell is
-    independent, so the batch can be fanned out to a thread pool; results are
+    independent, so the batch can be fanned out to a thread pool: each
+    worker gets one strided slice of the dispatch order, which costs one
+    task submission per worker rather than one per cell. Results are
     re-associated with their tasks by position, which keeps assembly
     independent of completion order. ``shuffle_seed`` randomizes dispatch
     order inside each frontier (used by tests to demonstrate schedule
@@ -210,11 +212,13 @@ def run_cells(
         raise ValueError("workers must be >= 1")
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
-    def run_one(task: CellTask) -> CellDecision:
-        try:
-            return decide(task.view, task.seed)
-        except Exception as exc:
-            raise CellBuildError(task.cell_id, task.view.n, exc) from exc
+    def run_slice(tasks: list[CellTask], positions: list[int], results: list) -> None:
+        for i in positions:
+            task = tasks[i]
+            try:
+                results[i] = decide(task.view, task.seed)
+            except Exception as exc:
+                raise CellBuildError(task.cell_id, task.view.n, exc) from exc
 
     root_slot = _NodeSlot()
     frontier: list[tuple[CellTask, _NodeSlot]] = [(root, root_slot)]
@@ -225,18 +229,18 @@ def run_cells(
             order = list(range(len(tasks)))
             if shuffler is not None:
                 shuffler.shuffle(order)
+            results: list[CellDecision] = [None] * len(tasks)  # type: ignore[list-item]
             if pool is None:
-                results: list[CellDecision] = [None] * len(tasks)  # type: ignore[list-item]
-                for i in order:
-                    results[i] = run_one(tasks[i])
+                run_slice(tasks, order, results)
             else:
-                shuffled = list(pool.map(run_one, (tasks[i] for i in order)))
-                results = [None] * len(tasks)  # type: ignore[list-item]
-                for pos, i in enumerate(order):
-                    results[i] = shuffled[pos]
+                futures = [
+                    pool.submit(run_slice, tasks, order[c::workers], results)
+                    for c in range(min(workers, len(order)))
+                ]
+                for future in futures:
+                    future.result()
             nxt: list[tuple[CellTask, _NodeSlot]] = []
             for (task, slot), decision in zip(frontier, results):
-                slot.decision = decision
                 if trace is not None:
                     trace.records.append(
                         TraceRecord(
@@ -246,10 +250,13 @@ def run_cells(
                             seed=task.seed,
                             decision_fp=decision_fingerprint(decision),
                             input_hash=_input_hash(task.view, task.seed),
-                            view_indices=tuple(int(i) for i in task.view.indices),
+                            view_indices=task.view.indices,
                         )
                     )
-                if isinstance(decision, SplitDecision):
+                if isinstance(decision, LeafDecision):
+                    slot.leaf = Leaf(decision.count0, decision.count1)
+                else:
+                    slot.splits, slot.eaten = decision.splits, decision.eaten
                     for j, child_view in enumerate(decision.children):
                         child_slot = _NodeSlot()
                         slot.children.append(child_slot)
@@ -297,14 +304,14 @@ def audit_autonomy(
     """
     failures: list[str] = []
     for record in trace.records:
-        view = DataView(dataset, np.array(record.view_indices, dtype=np.int64))
+        view = DataView(dataset, record.view_indices)
         if _input_hash(view, record.seed) != record.input_hash:
             failures.append(f"{record.cell_id}: input hash mismatch")
     rng = random.Random(seed)
     records = list(trace.records)
     picked = records if len(records) <= sample else rng.sample(records, sample)
     for record in picked:
-        view = DataView(dataset, np.array(record.view_indices, dtype=np.int64))
+        view = DataView(dataset, record.view_indices)
         detached = view.detach()
         try:
             replay = decide(detached, record.seed)

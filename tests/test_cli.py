@@ -193,6 +193,19 @@ def test_inspect_corrupt_document_exit_4(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_inspect_deeply_nested_document_exit_4(tmp_path, capsys):
+    leaf = '{"count0":0,"count1":0}'
+    close = "," + leaf + '],"eaten":1,"splits":[[1,0.5]]}'
+    deep = tmp_path / "deep.json"
+    deep.write_text(
+        '{"config":{},"d":1,"mode":"binary","root":'
+        + '{"children":[' * 5000 + leaf + close * 5000 + "}"
+    )
+    code, _, stderr = run(capsys, "inspect", "--tree", deep)
+    assert code == 4
+    assert "nested too deeply" in stderr
+
+
 def test_inspect_detects_tampered_counts(tmp_path, train_csv, capsys):
     out = tmp_path / "tree.json"
     run(capsys, "train", "--algo", "randomized", "--data", train_csv, "--out", out)

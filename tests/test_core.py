@@ -25,6 +25,7 @@ from celltree import (
     predict_batch,
     RandomizedConfig,
     route,
+    route_depths,
     save_csv,
     serialize_tree,
     strict_rank,
@@ -86,6 +87,28 @@ def test_view_detach_preserves_content_order():
     assert det.dataset.n == 3
     assert np.array_equal(det.xs, v.xs)
     assert np.array_equal(det.ys, v.ys)
+
+
+def test_dataset_ranks_encode_the_strict_order(rng):
+    ds = make_dataset(rng, 300, 3, dup_prob=1.0)
+    ranks = ds.ranks
+    assert ranks.shape == (3, 300) and ranks.dtype == np.int64
+    assert not ranks.flags.writeable
+    assert ds.ranks is ranks  # built once, then kept
+    for dim in range(3):
+        assert np.array_equal(np.argsort(ranks[dim]), strict_rank(ds.full_view(), dim))
+
+
+def test_detached_view_ranks_its_own_points(rng):
+    ds = make_dataset(rng, 200, 2, dup_prob=1.0)
+    view = DataView(ds, np.flatnonzero(rng.random(200) < 0.4))
+    det = view.detach()
+    assert det.dataset.ranks.shape == (2, view.n)
+    for dim in range(2):
+        # the local ranks order the cell's points as the global ranks do
+        assert np.array_equal(
+            np.argsort(det.dataset.ranks[dim]), np.argsort(ds.ranks[dim][view.indices])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +218,21 @@ def test_classify_is_total_outside_unit_cube(rng):
         assert classify(tree, x) in (0, 1)
 
 
+def test_routing_rejects_non_finite_queries(rng):
+    data = make_dataset(rng, 200, 2)
+    tree = build_randomized(data, RandomizedConfig(beta=0.4, seed=2))
+    for bad in ([np.nan, np.nan], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            route(tree, bad)
+        with pytest.raises(ValueError, match="finite"):
+            classify(tree, bad)
+        batch = np.array([[0.5, 0.5], bad])
+        with pytest.raises(ValueError, match="finite"):
+            predict_batch(tree, batch)
+        with pytest.raises(ValueError, match="finite"):
+            route_depths(tree, batch)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -258,6 +296,22 @@ def test_deserialize_rejects_corrupt_documents():
     doc["extra"] = 1
     with pytest.raises(TreeSchemaError):
         deserialize_tree(_dump(doc))
+
+
+def nested_document(depth: int) -> str:
+    """A binary d=1 document whose low branch is ``depth`` splits deep."""
+    leaf = '{"count0":0,"count1":0}'
+    close = "," + leaf + '],"eaten":1,"splits":[[1,0.5]]}'
+    return (
+        '{"config":{},"d":1,"mode":"binary","root":'
+        + '{"children":[' * depth + leaf + close * depth + "}"
+    )
+
+
+def test_deserialize_rejects_deep_nesting():
+    assert deserialize_tree(nested_document(50)).root is not None
+    with pytest.raises(TreeSchemaError, match="nested too deeply"):
+        deserialize_tree(nested_document(900))
 
 
 def test_full_mode_arity_enforced_on_parse():

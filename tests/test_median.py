@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from celltree import (
     Dataset,
+    DataView,
     build_full_tree,
     full_level_split,
     full_tree_leaves,
     leaf_bounds,
     locate_leaf,
     median_split,
+    strict_rank,
 )
 from conftest import make_dataset
 
@@ -75,6 +77,28 @@ def test_median_split_cardinalities(values):
     assert all((values[i], i) > pkey for i in cut.high.indices)
     members = set(cut.low.indices) | set(cut.high.indices) | {cut.pivot_index}
     assert members == set(range(n))
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_median_split_matches_strict_rank_on_subviews(seed):
+    # the kernel selects on presorted dataset ranks; it must agree with
+    # sorting the view itself, on a random subset with heavy ties
+    rng = np.random.default_rng(seed)
+    ds = Dataset(np.floor(rng.random((80, 2)) * 3), (rng.random(80) < 0.5).astype(np.int8))
+    indices = np.flatnonzero(rng.random(80) < 0.6)
+    if indices.size == 0:
+        return
+    view = DataView(ds, indices)
+    for dim in range(2):
+        ranked = strict_rank(view, dim)
+        r = (view.n + 1) // 2
+        cut = median_split(view, dim)
+        assert cut.pivot_index == ranked[r - 1]
+        assert cut.threshold == ds.xs[ranked[r - 1], dim]
+        assert np.array_equal(cut.low.indices, np.sort(ranked[: r - 1]))
+        assert np.array_equal(cut.high.indices, np.sort(ranked[r:]))
+        assert not cut.low.indices.flags.writeable
 
 
 def test_median_split_all_identical_coordinates():

@@ -16,6 +16,7 @@ from celltree import (
     build_lookahead,
     build_randomized,
     derive_child_seed,
+    median_split,
     randomized_decision,
     run_cells,
     serialize_tree,
@@ -150,6 +151,20 @@ def test_worker_error_carries_cell_size(rng):
 
     with pytest.raises(CellBuildError, match=r"N=17"):
         run_cells(CellTask(view=data.full_view(), seed=0), broken)
+
+
+def test_worker_error_propagates_from_the_pool(rng):
+    data = make_dataset(rng, 40, 1)
+
+    def root_only(view, seed):
+        if view.n < 40:
+            raise KeyError("boom")
+        cut = median_split(view, 0)
+        return SplitDecision(((0, cut.threshold),), (cut.pivot_index,), (cut.low, cut.high))
+
+    # both children fail; the first slice of the dispatch order reports
+    with pytest.raises(CellBuildError, match=r"cell r\.0 \(N=19\)"):
+        run_cells(CellTask(view=data.full_view(), seed=0), root_only, workers=2)
 
 
 def test_run_cells_rejects_bad_worker_count(rng):
