@@ -301,6 +301,16 @@ def _node_arity(tree: PartitionTree) -> int:
     return 2 if tree.mode == "binary" else 1 << tree.d
 
 
+def cascade_child(cuts: Sequence[tuple[int, float]], x: np.ndarray) -> int:
+    """Child index of x under one node's 2^L - 1 heap-ordered (dim, threshold)
+    cuts: one low (0) or high (1) bit per cascade level, first level first."""
+    prefix = 0
+    for lvl in range(len(cuts).bit_length()):
+        dim, thr = cuts[(1 << lvl) - 1 + prefix]
+        prefix = (prefix << 1) | (0 if x[dim] < thr else 1)
+    return prefix
+
+
 def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
     """Route a query point to its leaf; returns (leaf, depth).
 
@@ -316,12 +326,7 @@ def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
     node = tree.root
     depth = 0
     while isinstance(node, Internal):
-        prefix = 0
-        for lvl in range(node.levels):
-            dim, thr = node.splits[(1 << lvl) - 1 + prefix]
-            side = 0 if x[dim] < thr else 1
-            prefix = (prefix << 1) | side
-        node = node.children[prefix]
+        node = node.children[cascade_child(node.splits, x)]
         depth += 1
     return node, depth
 

@@ -89,8 +89,6 @@ def lookahead_error(view: DataView, k: int) -> float:
     n = view.n
     if n == 0:
         return 0.0
-    if k == 0:
-        return empirical_error(view)
     leaves, _ = full_tree_leaves(view, k)
     total = 0.0
     for leaf in leaves:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, strict_rank  # noqa: F401
+from .core import DataView, cascade_child, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -65,32 +66,35 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
 
 @dataclass(frozen=True)
 class LevelSplit:
-    """One full 2^d-ary level: 2^d children plus the cut cascade.
+    """One full 2^d-ary level: 2^d children plus the records of its cuts.
 
-    ``cuts`` has 2^d - 1 entries in heap order (dimension 0 cut first, then
-    the two dimension 1 cuts of its halves, and so on). An entry is None
-    where the cascade hit an empty view: the empty view splits structurally
-    into two empty children and no pivot is consumed.
+    ``cuts`` has 2^d - 1 (dim, threshold) entries in heap order (dimension 0
+    cut first, then the two dimension 1 cuts of its halves, and so on). An
+    entry is None where the cascade hit an empty view: the empty view splits
+    structurally into two empty children and no pivot is consumed. ``eaten``
+    lists the consumed pivots in cascade order.
     """
 
     children: tuple[DataView, ...]
-    cuts: tuple[MedianSplit | None, ...]
-
-    @property
-    def eaten(self) -> tuple[int, ...]:
-        return tuple(c.pivot_index for c in self.cuts if c is not None)
+    cuts: tuple[tuple[int, float] | None, ...]
+    eaten: tuple[int, ...]
 
     def split_records(self) -> tuple[tuple[int, float], ...]:
         """(dim, threshold) per cut; requires every cut to be real."""
-        if any(c is None for c in self.cuts):
+        if None in self.cuts:
             raise ValueError("level has structural empty cuts, no full cut record")
-        return tuple((c.dim, c.threshold) for c in self.cuts)  # type: ignore[union-attr]
+        return self.cuts  # type: ignore[return-value]
 
 
 def full_level_split(view: DataView) -> LevelSplit:
-    """Median-cut the view once in every dimension, in dimension order."""
+    """Median-cut the view once in every dimension, in dimension order.
+
+    Keeps each cut's record, not its halves, so the intermediate views are
+    freed as the cascade moves on to the next dimension.
+    """
     frontier = [view]
-    cuts: list[MedianSplit | None] = []
+    cuts: list[tuple[int, float] | None] = []
+    eaten: list[int] = []
     for dim in range(view.dataset.d):
         nxt: list[DataView] = []
         for v in frontier:
@@ -99,10 +103,27 @@ def full_level_split(view: DataView) -> LevelSplit:
                 nxt.extend((v, v))
             else:
                 cut = median_split(v, dim)
-                cuts.append(cut)
+                cuts.append((cut.dim, cut.threshold))
+                eaten.append(cut.pivot_index)
                 nxt.extend((cut.low, cut.high))
         frontier = nxt
-    return LevelSplit(children=tuple(frontier), cuts=tuple(cuts))
+    return LevelSplit(children=tuple(frontier), cuts=tuple(cuts), eaten=tuple(eaten))
+
+
+def _grow_levels(
+    view: DataView, k: int
+) -> Iterator[tuple[tuple[LevelSplit, ...], list[DataView]]]:
+    """Yield (splits, children) for each of k stacked full levels, in canonical
+    order. The parents are dropped before each yield, so a caller that keeps
+    only the newest children holds one level of views at a time.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    views = [view]
+    for _ in range(k):
+        splits = tuple(full_level_split(v) for v in views)
+        views = [c for level in splits for c in level.children]
+        yield splits, views
 
 
 def full_tree_leaves(view: DataView, k: int) -> tuple[list[DataView], int]:
@@ -111,18 +132,10 @@ def full_tree_leaves(view: DataView, k: int) -> tuple[list[DataView], int]:
     Light-weight variant of build_full_tree for callers that only need the
     2^{dk} leaf populations.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    views = [view]
-    eaten = 0
-    for _ in range(k):
-        nxt: list[DataView] = []
-        for v in views:
-            level = full_level_split(v)
-            eaten += len(level.eaten)
-            nxt.extend(level.children)
-        views = nxt
-    return views, eaten
+    leaves, eaten = [view], 0
+    for splits, leaves in _grow_levels(view, k):
+        eaten += sum(len(level.eaten) for level in splits)
+    return leaves, eaten
 
 
 @dataclass(frozen=True)
@@ -131,12 +144,11 @@ class FullTree:
 
     ``leaves`` always has exactly 2^{dk} entries in canonical order; empty
     views split structurally so the shape never degenerates. ``levels``
-    stores the LevelSplit cascade of every expanded cell, level by level,
+    stores the LevelSplit records of every expanded cell, level by level,
     which is enough to route query points geometrically as long as the tree
     is ``complete`` (no structural empty cuts).
     """
 
-    root: DataView
     k: int
     d: int
     leaves: tuple[DataView, ...]
@@ -147,32 +159,18 @@ class FullTree:
 
 
 def build_full_tree(view: DataView, k: int) -> FullTree:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    d = view.dataset.d
-    views = [view]
-    eaten: list[int] = []
-    levels: list[tuple[LevelSplit, ...]] = []
-    complete = True
-    for _ in range(k):
-        splits = tuple(full_level_split(v) for v in views)
+    levels, leaves = [], [view]
+    for splits, leaves in _grow_levels(view, k):
         levels.append(splits)
-        nxt: list[DataView] = []
-        for level in splits:
-            if any(c is None for c in level.cuts):
-                complete = False
-            eaten.extend(level.eaten)
-            nxt.extend(level.children)
-        views = nxt
+    cells = [level for splits in levels for level in splits]
     return FullTree(
-        root=view,
         k=k,
-        d=d,
-        leaves=tuple(views),
-        leaf_counts=tuple(v.label_counts() for v in views),
-        eaten=tuple(eaten),
+        d=view.dataset.d,
+        leaves=tuple(leaves),
+        leaf_counts=tuple(v.label_counts() for v in leaves),
+        eaten=tuple(p for level in cells for p in level.eaten),
         levels=tuple(levels),
-        complete=complete,
+        complete=all(None not in level.cuts for level in cells),
     )
 
 
@@ -183,14 +181,7 @@ def locate_leaf(tree: FullTree, x) -> int:
     x = np.asarray(x, dtype=np.float64)
     pos = 0
     for level in tree.levels:
-        cascade = level[pos]
-        prefix = 0
-        for lvl in range(tree.d):
-            cut = cascade.cuts[(1 << lvl) - 1 + prefix]
-            assert cut is not None
-            side = 0 if x[cut.dim] < cut.threshold else 1
-            prefix = (prefix << 1) | side
-        pos = (pos << tree.d) | prefix
+        pos = (pos << tree.d) | cascade_child(level[pos].cuts, x)
     return pos
 
 

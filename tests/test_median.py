@@ -203,3 +203,57 @@ def test_locate_leaf_rejects_incomplete_tree(rng):
     assert not tree.complete
     with pytest.raises(ValueError):
         locate_leaf(tree, np.array([0.5, 0.5]))
+
+
+def test_full_level_split_keeps_cut_records(rng):
+    # a level keeps (dim, threshold) records and eaten pivots, cut for cut the
+    # same as running median_split down the cascade; None marks an empty view
+    for n, d in ((57, 2), (200, 3), (3, 3), (0, 2)):
+        ds = make_dataset(rng, n, d, dup_prob=0.5)
+        frontier = [ds.full_view()]
+        cuts, eaten = [], []
+        for dim in range(d):
+            nxt = []
+            for v in frontier:
+                if v.n == 0:
+                    cuts.append(None)
+                    nxt.extend((v, v))
+                    continue
+                cut = median_split(v, dim)
+                cuts.append((cut.dim, cut.threshold))
+                eaten.append(cut.pivot_index)
+                nxt.extend((cut.low, cut.high))
+            frontier = nxt
+        level = full_level_split(ds.full_view())
+        assert level.cuts == tuple(cuts)
+        assert level.eaten == tuple(eaten)
+        assert [c.indices.tolist() for c in level.children] == [
+            v.indices.tolist() for v in frontier
+        ]
+
+
+def test_route_on_equivalent_partition_tree_reaches_located_leaf(rng):
+    from celltree import Internal, Leaf, PartitionTree, route
+
+    for d, k, n in ((2, 2, 300), (3, 1, 400), (3, 2, 2000)):
+        ds = make_dataset(rng, n, d, dup_prob=0.0)
+        full = build_full_tree(ds.full_view(), k)
+        assert full.complete
+        leaves = [Leaf(*counts) for counts in full.leaf_counts]
+
+        def to_node(level_idx, pos):
+            if level_idx == full.k:
+                return leaves[pos]
+            level = full.levels[level_idx][pos]
+            children = tuple(
+                to_node(level_idx + 1, (pos << d) | j) for j in range(1 << d)
+            )
+            return Internal(level.split_records(), level.eaten, children)
+
+        tree = PartitionTree(root=to_node(0, 0), d=d, mode="full", config={})
+        # training points include every pivot, so thresholds are hit exactly
+        queries = np.vstack([ds.xs, rng.random((200, d))])
+        for x in queries:
+            leaf, depth = route(tree, x)
+            assert depth == k
+            assert leaf is leaves[locate_leaf(full, x)]
