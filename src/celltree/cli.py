@@ -95,14 +95,19 @@ def _resolve_distribution(args):
         raise UsageError(str(exc)) from exc
 
 
+def _randomized_config(beta: float, seed: int) -> RandomizedConfig:
+    try:
+        return RandomizedConfig(beta=beta, seed=seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_train(args) -> int:
     data = load_csv(args.data)
     workers = _workers(args)
     if args.algo == "randomized":
         beta = args.beta if args.beta is not None else DEFAULT_RANDOMIZED_BETA
-        tree = build_randomized(
-            data, RandomizedConfig(beta=beta, seed=args.seed), workers=workers
-        )
+        tree = build_randomized(data, _randomized_config(beta, args.seed), workers=workers)
     else:
         alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
         beta = args.beta if args.beta is not None else DEFAULT_BETA
@@ -122,7 +127,11 @@ def cmd_train(args) -> int:
 
 def _load_tree(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize_tree(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TreeSchemaError(f"tree document is not UTF-8 text: {exc.reason}") from None
+    return deserialize_tree(text)
 
 
 def cmd_eval(args) -> int:
@@ -132,6 +141,8 @@ def cmd_eval(args) -> int:
         raise UsageError("--oracle needs --dist")
     if not args.oracle and args.tree is None:
         raise UsageError("eval needs --tree unless --oracle is given")
+    if args.m < 1:
+        raise UsageError("--m must be >= 1")
 
     tree = None if args.oracle else _load_tree(args.tree)
 
@@ -179,6 +190,8 @@ def cmd_bench(args) -> int:
     beta = args.beta
     if beta is None:
         beta = DEFAULT_BETA if args.algo == "lookahead" else DEFAULT_RANDOMIZED_BETA
+    if args.algo == "randomized":
+        _randomized_config(beta, args.seed)  # reject beta before any build
     curve = risk_curve(
         algo=args.algo,
         dist=dist,

@@ -586,7 +586,10 @@ def load_csv(path) -> Dataset:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+        try:
+            rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"file is not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise DatasetFormatError("empty file, cannot infer dimension")
     first_line, first = rows[0]
@@ -621,7 +624,9 @@ def load_csv(path) -> Dataset:
                 ) from None
         ys[out] = _parse_label(row[-1], line)
     if not np.isfinite(xs).all():
-        raise DatasetFormatError("features must be finite")
+        out, j = np.argwhere(~np.isfinite(xs))[0]
+        line, row = body[out]
+        raise DatasetFormatError(f"feature {row[j]!r} is not finite", line)
     return Dataset(xs, ys)
 
 

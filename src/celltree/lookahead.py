@@ -47,6 +47,10 @@ class LookaheadConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise AdmissibilityError(
+                f"alpha and beta must be finite, got alpha={self.alpha}, beta={self.beta}"
+            )
         if self.alpha <= 0 or self.beta <= 0:
             raise AdmissibilityError(
                 f"alpha and beta must be positive, got alpha={self.alpha}, beta={self.beta}"

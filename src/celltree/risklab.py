@@ -59,6 +59,8 @@ def builtin_distributions() -> tuple[str, ...]:
 
 
 def get_distribution(name: str, d: int = 2, p: float = 0.5) -> SyntheticDistribution:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     key = name.strip().lower()
     if key == "d-const":
         if not 0.0 <= p <= 1.0:

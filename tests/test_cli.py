@@ -281,3 +281,99 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert re.match(r"celltree \d+\.\d+\.\d+", capsys.readouterr().out)
+
+
+def assert_one_line_error(stderr):
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+def test_undecodable_data_file_exit_4(tmp_path, capsys):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(b"\xff\xfe" + "x1,y\n0.5,1\n".encode("utf-16-le"))
+    code, _, stderr = run(
+        capsys, "train", "--algo", "randomized", "--data", path,
+        "--out", tmp_path / "t.json",
+    )
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert "UTF-8" in stderr
+
+
+def test_undecodable_tree_document_exit_4(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_bytes(b"\xff\xfe" + '{"mode":"full"}'.encode("utf-16-le"))
+    code, _, stderr = run(capsys, "inspect", "--tree", path)
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert "UTF-8" in stderr
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_feature_reports_its_line_exit_4(tmp_path, capsys, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x1,x2,y\n0.1,0.2,0\n0.3,{cell},1\n0.5,0.6,0\n")
+    code, _, stderr = run(
+        capsys, "train", "--algo", "randomized", "--data", path,
+        "--out", tmp_path / "t.json",
+    )
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert "line 3" in stderr and repr(cell) in stderr
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_eval_rejects_non_positive_m_exit_2(capsys, m):
+    code, _, stderr = run(capsys, "eval", "--oracle", "--dist", "d-lin", "--m", m)
+    assert code == 2
+    assert_one_line_error(stderr)
+    assert "--m" in stderr
+
+
+@pytest.mark.parametrize("dist", ["d-lin", "d-const"])
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_non_positive_dim_exit_2(tmp_path, capsys, dist, dim):
+    code, _, stderr = run(
+        capsys, "eval", "--oracle", "--dist", dist, "--dim", dim, "--m", "100"
+    )
+    assert code == 2
+    assert_one_line_error(stderr)
+    code, _, stderr = run(
+        capsys, "bench", "--algo", "randomized", "--dist", dist, "--dim", dim,
+        "--n-grid", "50", "--reps", "1", "--m", "100", "--out", tmp_path / "c.csv",
+    )
+    assert code == 2
+    assert_one_line_error(stderr)
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("beta", ["0", "1", "1.5", "-0.5", "nan"])
+def test_randomized_beta_out_of_range_exit_2(tmp_path, train_csv, capsys, beta):
+    out = tmp_path / "t.json"
+    code, _, stderr = run(
+        capsys, "train", "--algo", "randomized", "--data", train_csv,
+        "--out", out, "--beta", beta,
+    )
+    assert code == 2
+    assert_one_line_error(stderr)
+    assert not out.exists()
+    code, _, stderr = run(
+        capsys, "bench", "--algo", "randomized", "--dist", "d-lin",
+        "--n-grid", "50", "--reps", "1", "--m", "100", "--beta", beta,
+        "--out", tmp_path / "c.csv",
+    )
+    assert code == 2
+    assert_one_line_error(stderr)
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_nan_lookahead_parameter_exit_3(tmp_path, train_csv, capsys, flag):
+    out = tmp_path / "t.json"
+    code, _, stderr = run(
+        capsys, "train", "--algo", "lookahead", "--data", train_csv,
+        "--out", out, flag, "nan",
+    )
+    assert code == 3
+    assert_one_line_error(stderr)
+    assert "finite" in stderr
+    assert not out.exists()

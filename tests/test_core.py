@@ -375,3 +375,18 @@ def test_csv_roundtrip(tmp_path, rng):
     back = load_csv(path)
     assert np.array_equal(ds.xs, back.xs)
     assert np.array_equal(ds.ys, back.ys)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+def test_load_csv_names_the_line_of_a_non_finite_feature(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"x1,y\n0.1,0\n0.2,1\n{cell},0\n0.4,1\n")
+    with pytest.raises(DatasetFormatError, match=f"line 4: feature '{cell}' is not finite"):
+        load_csv(p)
+
+
+def test_load_csv_rejects_undecodable_bytes(tmp_path):
+    p = tmp_path / "utf16.csv"
+    p.write_bytes(b"\xff\xfe" + "x1,y\n0.5,1\n".encode("utf-16-le"))
+    with pytest.raises(DatasetFormatError, match="UTF-8"):
+        load_csv(p)

@@ -265,3 +265,12 @@ def test_matches_naive_reference_spot_checks(rng):
         )
         reference = naive.build([tuple(row) for row in xs], [int(y) for y in ys], alpha, beta)
         assert tree_shape(tree.root) == reference
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(math.nan, 0.2), (0.1, math.nan), (math.nan, math.nan)]
+)
+def test_admissibility_rejects_nan(alpha, beta):
+    # every comparison with NaN is false, so the margin check alone lets it in
+    with pytest.raises(AdmissibilityError, match="finite"):
+        LookaheadConfig(alpha=alpha, beta=beta, d=2)
