@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Dataset, DataView, PartitionTree
+from .core import Dataset, DataView, Leaf, PartitionTree
 from .median import full_level_split, full_tree_leaves
 from .runtime import (
     BuildTrace,
     CellTask,
     DecisionFn,
-    LeafDecision,
     SplitDecision,
     run_cells,
 )
@@ -121,7 +120,7 @@ def lookahead_decision(config: LookaheadConfig) -> DecisionFn:
     def decide(view, seed: int):
         if decide_stop_lookahead(view, config):
             c0, c1 = view.label_counts()
-            return LeafDecision(c0, c1)
+            return Leaf(c0, c1)
         level = full_level_split(view)
         # a cell large enough to split has every cascade cut on a nonempty
         # view, so the full split record always exists

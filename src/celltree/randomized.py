@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Dataset, PartitionTree, classify, majority_label
+from .core import Dataset, Leaf, PartitionTree, classify, majority_label
 from .median import median_split
 from .runtime import (
     BuildTrace,
     CellRng,
     CellTask,
     DecisionFn,
-    LeafDecision,
     SplitDecision,
     derive_child_seed,
     run_cells,
@@ -76,7 +75,7 @@ def randomized_decision(beta: float) -> DecisionFn:
         n = view.n
         if n <= 1 or decide_stop(n, u, beta):
             c0, c1 = view.label_counts()
-            return LeafDecision(c0, c1)
+            return Leaf(c0, c1)
         dim = choose_dimension(view.dataset.d, rng)
         cut = median_split(view, dim)
         return SplitDecision(

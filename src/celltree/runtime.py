@@ -4,9 +4,9 @@ Every cell of a growing tree is an independent unit of work: it receives a
 view of the data and a derived seed, and nothing else. A decision function
 maps (view, seed) to either a leaf or a split with child views. The runtime
 schedules cells on a work queue, derives child seeds by avalanche mixing of
-(parent seed, child index), and assembles the tree by structure rather than
-by completion order, so the result is byte-for-byte identical for any worker
-count.
+(parent seed, child index), and assembles the tree bottom-up by structure
+rather than by completion order, so the result is byte-for-byte identical
+for any worker count.
 
 The same property is what makes the classifiers here "cellular": no decision
 may read global state such as the total training size. That cannot be made
@@ -21,6 +21,7 @@ import random
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Union
 
 import numpy as np
@@ -81,15 +82,12 @@ class CellTask:
 
     view: DataView
     seed: int
-    depth: int = 0
     cell_id: str = "r"
     parent_id: str = ""
 
 
-@dataclass(frozen=True)
-class LeafDecision:
-    count0: int
-    count1: int
+# a cell that stops returns its finished leaf, which the runtime keeps as is
+LeafDecision = Leaf
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class SplitDecision:
     children: tuple[DataView, ...]
 
 
-CellDecision = Union[LeafDecision, SplitDecision]
+CellDecision = Union[Leaf, SplitDecision]
 DecisionFn = Callable[[DataView, int], CellDecision]
 
 
@@ -120,7 +118,7 @@ def decision_fingerprint(decision: CellDecision) -> str:
     Uses cut geometry and child sizes, never raw dataset indices, so the
     fingerprint is invariant under detaching the cell's view.
     """
-    if isinstance(decision, LeafDecision):
+    if isinstance(decision, Leaf):
         return f"leaf:{decision.count0}:{decision.count1}"
     dims = ",".join(str(dim) for dim, _ in decision.splits)
     thrs = ",".join(repr(thr) for _, thr in decision.splits)
@@ -170,26 +168,6 @@ class BuildTrace:
                 fh.write(line + "\n")
 
 
-class _NodeSlot:
-    """A decided cell awaiting assembly: a finished leaf, or a split's cuts
-    and pivots plus its children's slots. Child views are not kept here, so
-    each generation's index arrays are freed once its children have run."""
-
-    __slots__ = ("leaf", "splits", "eaten", "children")
-
-    def __init__(self):
-        self.leaf: Leaf | None = None
-        self.splits: tuple[tuple[int, float], ...] = ()
-        self.eaten: tuple[int, ...] = ()
-        self.children: list["_NodeSlot"] = []
-
-
-def _freeze(slot: _NodeSlot) -> Node:
-    if slot.leaf is not None:
-        return slot.leaf
-    return Internal(slot.splits, slot.eaten, tuple(_freeze(c) for c in slot.children))
-
-
 def run_cells(
     root: CellTask,
     decide: DecisionFn,
@@ -220,27 +198,31 @@ def run_cells(
             except Exception as exc:
                 raise CellBuildError(task.cell_id, task.view.n, exc) from exc
 
-    root_slot = _NodeSlot()
-    frontier: list[tuple[CellTask, _NodeSlot]] = [(root, root_slot)]
+    # one list per generation, in frontier order: each decided cell's
+    # finished Leaf, or its split's (splits, eaten, arity). Child views are
+    # not kept, so each generation's index arrays are freed once its
+    # children have run.
+    generations: list[list] = []
+    frontier: list[CellTask] = [root]
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while frontier:
-            tasks = [t for t, _ in frontier]
-            order = list(range(len(tasks)))
+            order = list(range(len(frontier)))
             if shuffler is not None:
                 shuffler.shuffle(order)
-            results: list[CellDecision] = [None] * len(tasks)  # type: ignore[list-item]
+            results: list[CellDecision] = [None] * len(frontier)  # type: ignore[list-item]
             if pool is None:
-                run_slice(tasks, order, results)
+                run_slice(frontier, order, results)
             else:
                 futures = [
-                    pool.submit(run_slice, tasks, order[c::workers], results)
+                    pool.submit(run_slice, frontier, order[c::workers], results)
                     for c in range(min(workers, len(order)))
                 ]
                 for future in futures:
                     future.result()
-            nxt: list[tuple[CellTask, _NodeSlot]] = []
-            for (task, slot), decision in zip(frontier, results):
+            cells: list = []
+            nxt: list[CellTask] = []
+            for task, decision in zip(frontier, results):
                 if trace is not None:
                     trace.records.append(
                         TraceRecord(
@@ -253,30 +235,34 @@ def run_cells(
                             view_indices=task.view.indices,
                         )
                     )
-                if isinstance(decision, LeafDecision):
-                    slot.leaf = Leaf(decision.count0, decision.count1)
-                else:
-                    slot.splits, slot.eaten = decision.splits, decision.eaten
-                    for j, child_view in enumerate(decision.children):
-                        child_slot = _NodeSlot()
-                        slot.children.append(child_slot)
-                        nxt.append(
-                            (
-                                CellTask(
-                                    view=child_view,
-                                    seed=derive_child_seed(task.seed, j),
-                                    depth=task.depth + 1,
-                                    cell_id=f"{task.cell_id}.{j}",
-                                    parent_id=task.cell_id,
-                                ),
-                                child_slot,
-                            )
+                if isinstance(decision, Leaf):
+                    cells.append(decision)
+                    continue
+                cells.append((decision.splits, decision.eaten, len(decision.children)))
+                for j, child_view in enumerate(decision.children):
+                    nxt.append(
+                        CellTask(
+                            view=child_view,
+                            seed=derive_child_seed(task.seed, j),
+                            cell_id=f"{task.cell_id}.{j}",
+                            parent_id=task.cell_id,
                         )
+                    )
+            generations.append(cells)
             frontier = nxt
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    return _freeze(root_slot)
+    # bottom-up: each split takes its children, in order, from the nodes
+    # built for the generation below
+    built: list[Node] = []
+    for cells in reversed(generations):
+        below = iter(built)
+        built = [
+            c if isinstance(c, Leaf) else Internal(c[0], c[1], tuple(islice(below, c[2])))
+            for c in cells
+        ]
+    return built[0]
 
 
 @dataclass(frozen=True)
