@@ -103,14 +103,18 @@ def _randomized_config(beta: float, seed: int) -> RandomizedConfig:
 
 
 def cmd_train(args) -> int:
-    data = load_csv(args.data)
+    # flags are checked before the file is parsed, except lookahead
+    # admissibility, which depends on the file's d
     workers = _workers(args)
     if args.algo == "randomized":
         beta = args.beta if args.beta is not None else DEFAULT_RANDOMIZED_BETA
-        tree = build_randomized(data, _randomized_config(beta, args.seed), workers=workers)
+        config = _randomized_config(beta, args.seed)
+        data = load_csv(args.data)
+        tree = build_randomized(data, config, workers=workers)
     else:
         alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
         beta = args.beta if args.beta is not None else DEFAULT_BETA
+        data = load_csv(args.data)
         config = LookaheadConfig(alpha=alpha, beta=beta, d=data.d, seed=args.seed)
         tree = build_lookahead(data, config, workers=workers)
     with open(args.out, "w", encoding="utf-8") as fh:

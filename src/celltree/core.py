@@ -359,16 +359,16 @@ def _apply_tree(tree: PartitionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndar
             depths[idx] = depth
             continue
         # partition idx down the in-level cut cascade
-        buckets = [(0, 0, idx)]
+        buckets = [(0, idx)]
         for lvl in range(node.levels):
             nxt = []
-            for _, prefix, ids in buckets:
+            for prefix, ids in buckets:
                 dim, thr = node.splits[(1 << lvl) - 1 + prefix]
                 mask = X[ids, dim] < thr
-                nxt.append((lvl + 1, prefix << 1, ids[mask]))
-                nxt.append((lvl + 1, (prefix << 1) | 1, ids[~mask]))
+                nxt.append((prefix << 1, ids[mask]))
+                nxt.append(((prefix << 1) | 1, ids[~mask]))
             buckets = nxt
-        for _, prefix, ids in buckets:
+        for prefix, ids in buckets:
             stack.append((node.children[prefix], ids, depth + 1))
     return labels, depths
 
@@ -494,13 +494,18 @@ def serialize_tree(tree: PartitionTree) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is a subclass of int, but true is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_node(doc, d: int, arity: int) -> Node:
     if not isinstance(doc, dict):
         raise TreeSchemaError("node must be an object")
     keys = set(doc)
     if keys == {"count0", "count1"}:
         c0, c1 = doc["count0"], doc["count1"]
-        if not (isinstance(c0, int) and isinstance(c1, int)) or c0 < 0 or c1 < 0:
+        if not (_is_int(c0) and _is_int(c1)) or c0 < 0 or c1 < 0:
             raise TreeSchemaError("leaf counts must be nonnegative integers")
         return Leaf(c0, c1)
     if keys != {"splits", "eaten", "children"}:
@@ -510,14 +515,14 @@ def _parse_node(doc, d: int, arity: int) -> Node:
         raise TreeSchemaError(f"internal node must have {arity} children")
     if not isinstance(splits_doc, list) or len(splits_doc) != arity - 1:
         raise TreeSchemaError(f"internal node must have {arity - 1} cuts")
-    if not isinstance(eaten, int) or eaten != len(splits_doc):
+    if not _is_int(eaten) or eaten != len(splits_doc):
         raise TreeSchemaError("eaten pivot count must equal cut count")
     splits = []
     for entry in splits_doc:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not isinstance(entry[0], int)
+            or not _is_int(entry[0])
             or isinstance(entry[1], bool)
             or not isinstance(entry[1], (int, float))
         ):
@@ -551,7 +556,7 @@ def deserialize_tree(text: str) -> PartitionTree:
     mode, d, config = doc["mode"], doc["d"], doc["config"]
     if mode not in ("binary", "full"):
         raise TreeSchemaError(f"unknown mode {mode!r}")
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise TreeSchemaError("d must be a positive integer")
     if not isinstance(config, dict) or not all(
         isinstance(k, str) and isinstance(v, _CONFIG_SCALARS) for k, v in config.items()

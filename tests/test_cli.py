@@ -377,3 +377,29 @@ def test_nan_lookahead_parameter_exit_3(tmp_path, train_csv, capsys, flag):
     assert_one_line_error(stderr)
     assert "finite" in stderr
     assert not out.exists()
+
+
+def test_inspect_rejects_a_boolean_leaf_count_exit_4(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(
+        '{"config":{"n":2},"d":1,"mode":"binary","root":{"children":'
+        '[{"count0":true,"count1":0},{"count0":0,"count1":0}],"eaten":1,"splits":[[1,0.5]]}}'
+    )
+    code, stdout, stderr = run(capsys, "inspect", "--tree", path)
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert "conservation" not in stdout
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--algo", "randomized", "--beta", "2"), "beta"),
+     (("--algo", "lookahead", "--workers", "0"), "workers")],
+)
+def test_train_checks_flags_before_parsing_the_file_exit_2(tmp_path, capsys, flags, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,y\n0.1,0.2,0\n0.3,oops,1\n")
+    code, _, stderr = run(capsys, "train", "--data", path, "--out", tmp_path / "t.json", *flags)
+    assert code == 2
+    assert_one_line_error(stderr)
+    assert message in stderr and "line" not in stderr

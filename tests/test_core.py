@@ -298,6 +298,24 @@ def test_deserialize_rejects_corrupt_documents():
         deserialize_tree(_dump(doc))
 
 
+@pytest.mark.parametrize(
+    "path",
+    [("d",), ("root", "splits", 0, 0), ("root", "eaten"), ("root", "children", 0, "count0")],
+    ids=["d", "cut-dimension", "eaten", "leaf-count"],
+)
+def test_deserialize_rejects_json_booleans(path):
+    doc = _leaf_doc()
+    doc["root"] = {"splits": [[1, 0.5]], "eaten": 1, "children": [
+        {"count0": 1, "count1": 0}, {"count0": 0, "count1": 1}]}
+    deserialize_tree(_dump(doc))  # valid with the integer 1 in every field
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = True
+    with pytest.raises(TreeSchemaError):
+        deserialize_tree(_dump(doc))
+
+
 def nested_document(depth: int) -> str:
     """A binary d=1 document whose low branch is ``depth`` splits deep."""
     leaf = '{"count0":0,"count1":0}'

@@ -7,6 +7,8 @@ from celltree import (
     CellRng,
     CellTask,
     Dataset,
+    DataView,
+    Leaf,
     LeafDecision,
     LookaheadConfig,
     PartitionTree,
@@ -22,6 +24,7 @@ from celltree import (
     serialize_tree,
     splitmix64,
     tree_stats,
+    validate_tree,
 )
 from celltree.lookahead import lookahead_decision
 from celltree.median import median_split
@@ -171,6 +174,39 @@ def test_run_cells_rejects_bad_worker_count(rng):
     data = make_dataset(rng, 10, 1)
     with pytest.raises(ValueError):
         run_cells(CellTask(view=data.full_view(), seed=0), randomized_decision(0.5), workers=0)
+
+
+def test_run_cells_stores_a_stopping_cells_leaf_as_it_is():
+    assert LeafDecision is Leaf
+    leaf = Leaf(3, 4)
+    data = Dataset.empty(1)
+    assert run_cells(CellTask(view=data.full_view(), seed=0), lambda view, seed: leaf) is leaf
+
+
+def test_run_cells_assembles_a_deep_chain(rng):
+    """Each cell eats its lowest point as the pivot, with an empty low child
+    and the rest high, so 3,000 points make a chain 2,999 levels deep."""
+    n = 3000
+    data = Dataset(rng.permutation(n).astype(np.float64).reshape(n, 1),
+                   rng.integers(0, 2, size=n).astype(np.int8))
+
+    def peel(view, seed):
+        if view.n <= 1:
+            return LeafDecision(*view.label_counts())
+        lowest = int(np.argmin(view.coords(0)))
+        return SplitDecision(
+            splits=((0, float(view.coords(0)[lowest])),),
+            eaten=(int(view.indices[lowest]),),
+            children=(
+                DataView(data, np.empty(0, dtype=np.int64)),
+                DataView(data, np.delete(view.indices, lowest)),
+            ),
+        )
+
+    node = run_cells(CellTask(view=data.full_view(), seed=0), peel)
+    tree = PartitionTree(root=node, d=1, mode="binary", config={})
+    assert tree_stats(tree).max_depth == n - 1
+    validate_tree(tree, n)
 
 
 # ---------------------------------------------------------------------------
