@@ -495,7 +495,7 @@ def serialize_tree(tree: PartitionTree) -> str:
 
 
 def _is_int(value) -> bool:
-    """A JSON integer: bool is a subclass of int, but true is no count."""
+    """True for a JSON integer; JSON booleans parse to bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
