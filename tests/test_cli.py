@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 
@@ -403,3 +404,25 @@ def test_train_checks_flags_before_parsing_the_file_exit_2(tmp_path, capsys, fla
     assert code == 2
     assert_one_line_error(stderr)
     assert message in stderr and "line" not in stderr
+
+
+@pytest.mark.parametrize(
+    "flags, sha256",
+    [
+        (("--algo", "randomized", "--dist", "d-lin", "--dim", "1", "--n-grid", "50,200",
+          "--reps", "3", "--m", "2000"),
+         "c6857f277eadad83662cfb9e47ea6f1d6e84b881ad2d09076bdac57a2f0f42ff"),
+        (("--algo", "lookahead", "--dist", "d-checker", "--n-grid", "100,400",
+          "--reps", "2", "--m", "2000"),
+         "ddd396a0b2f66ac165d6311ecbb53abd48946368628d13dbdbab4049f94b6a7e"),
+        # reps = 1: the aggregate row repeats the single rep's standard error
+        (("--algo", "lookahead", "--dist", "d-lin", "--dim", "1", "--n-grid", "300",
+          "--reps", "1", "--m", "1000", "--alpha", "0.3", "--beta", "0.1"),
+         "6dd5b3acd311da5ae1f92c090ba82dd3dab78babc52a9286b4d8a8b46313d2f1"),
+    ],
+)
+def test_bench_risk_csv_bytes_are_pinned(tmp_path, capsys, flags, sha256):
+    out = tmp_path / "curve.csv"
+    code, _, _ = run(capsys, "bench", *flags, "--seed", "5", "--out", out)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
