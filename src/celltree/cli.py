@@ -27,10 +27,12 @@ from .core import (
     tree_stats,
     validate_tree,
 )
-from .lookahead import AdmissibilityError, LookaheadConfig, build_lookahead
-from .randomized import RandomizedConfig, build_randomized
+from .lookahead import AdmissibilityError
+from .randomized import RandomizedConfig
 from .risklab import (
+    ALGORITHMS,
     bayes_predictor,
+    build_tree,
     builtin_distributions,
     empirical_risk,
     get_distribution,
@@ -95,28 +97,28 @@ def _resolve_distribution(args):
         raise UsageError(str(exc)) from exc
 
 
-def _randomized_config(beta: float, seed: int) -> RandomizedConfig:
-    try:
-        return RandomizedConfig(beta=beta, seed=seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _params(args) -> tuple[float | None, float]:
+    """(alpha, beta) with the documented defaults; randomized has no alpha."""
+    lookahead = args.algo == "lookahead"
+    alpha = (DEFAULT_ALPHA if args.alpha is None else args.alpha) if lookahead else None
+    beta = args.beta
+    if beta is None:
+        beta = DEFAULT_BETA if lookahead else DEFAULT_RANDOMIZED_BETA
+    if not lookahead:
+        try:
+            RandomizedConfig(beta=beta)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    return alpha, beta
 
 
 def cmd_train(args) -> int:
     # flags are checked before the file is parsed, except lookahead
     # admissibility, which depends on the file's d
     workers = _workers(args)
-    if args.algo == "randomized":
-        beta = args.beta if args.beta is not None else DEFAULT_RANDOMIZED_BETA
-        config = _randomized_config(beta, args.seed)
-        data = load_csv(args.data)
-        tree = build_randomized(data, config, workers=workers)
-    else:
-        alpha = args.alpha if args.alpha is not None else DEFAULT_ALPHA
-        beta = args.beta if args.beta is not None else DEFAULT_BETA
-        data = load_csv(args.data)
-        config = LookaheadConfig(alpha=alpha, beta=beta, d=data.d, seed=args.seed)
-        tree = build_lookahead(data, config, workers=workers)
+    alpha, beta = _params(args)
+    data = load_csv(args.data)
+    tree = build_tree(args.algo, data, alpha, beta, args.seed, workers)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_tree(tree))
     manifest = _write_manifest(args.out, "train", args, [args.data], [args.out])
@@ -188,25 +190,8 @@ def cmd_bench(args) -> int:
         raise UsageError("--n-grid needs nonnegative integers")
     dist = _resolve_distribution(args)
     workers = _workers(args)
-    alpha = args.alpha
-    if args.algo == "lookahead" and alpha is None:
-        alpha = DEFAULT_ALPHA
-    beta = args.beta
-    if beta is None:
-        beta = DEFAULT_BETA if args.algo == "lookahead" else DEFAULT_RANDOMIZED_BETA
-    if args.algo == "randomized":
-        _randomized_config(beta, args.seed)  # reject beta before any build
-    curve = risk_curve(
-        algo=args.algo,
-        dist=dist,
-        n_grid=n_grid,
-        reps=args.reps,
-        m=args.m,
-        seed=args.seed,
-        alpha=alpha if args.algo == "lookahead" else None,
-        beta=beta,
-        workers=workers,
-    )
+    alpha, beta = _params(args)
+    curve = risk_curve(args.algo, dist, n_grid, args.reps, args.m, args.seed, alpha, beta, workers)
     write_risk_csv(curve, args.out)
     manifest = _write_manifest(args.out, "bench", args, [], [args.out])
     for agg in curve.aggregates:
@@ -262,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_train = sub.add_parser("train", help="fit a tree on a CSV dataset")
-    p_train.add_argument("--algo", choices=("randomized", "lookahead"), required=True)
+    p_train.add_argument("--algo", choices=ALGORITHMS, required=True)
     p_train.add_argument("--data", required=True, help="CSV with d features then a 0/1 label")
     p_train.add_argument("--out", required=True, help="output tree document path")
     p_train.add_argument("--alpha", type=float, default=None, help="lookahead horizon rate (default 0.1)")
@@ -298,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             "mean across reps."
         ),
     )
-    p_bench.add_argument("--algo", choices=("randomized", "lookahead"), required=True)
+    p_bench.add_argument("--algo", choices=ALGORITHMS, required=True)
     p_bench.add_argument("--dist", required=True, help=f"one of {builtin_distributions()}")
     p_bench.add_argument("--dim", type=int, default=2)
     p_bench.add_argument("--p", type=float, default=0.5)

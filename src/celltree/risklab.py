@@ -17,8 +17,9 @@ Built-ins:
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -201,17 +202,24 @@ def estimate_level_risk(
 # ---------------------------------------------------------------------------
 # risk curves
 
-RISK_CSV_COLUMNS = (
-    "distribution",
-    "algorithm",
-    "alpha",
-    "beta",
-    "n",
-    "reps",
-    "mean_risk",
-    "std_error",
-    "bayes_risk",
-)
+ALGORITHMS = ("randomized", "lookahead")
+
+
+def build_tree(
+    algo: str,
+    data: Dataset,
+    alpha: float | None,
+    beta: float,
+    seed: int,
+    workers: int = 1,
+) -> PartitionTree:
+    """Fit the classifier named by ``algo``; the randomized one takes no alpha."""
+    if algo == "randomized":
+        return build_randomized(data, RandomizedConfig(beta=beta, seed=seed), workers=workers)
+    if algo == "lookahead":
+        config = LookaheadConfig(alpha=alpha, beta=beta, d=data.d, seed=seed)
+        return build_lookahead(data, config, workers=workers)
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 @dataclass(frozen=True)
@@ -225,6 +233,9 @@ class RiskRow:
     mean_risk: float
     std_error: float
     bayes_risk: float
+
+
+RISK_CSV_COLUMNS = tuple(f.name for f in fields(RiskRow))
 
 
 @dataclass(frozen=True)
@@ -250,7 +261,7 @@ def risk_curve(
     the aggregate row per n carries reps=R, the mean over reps and the
     standard error of that mean across reps.
     """
-    if algo not in ("randomized", "lookahead"):
+    if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -262,71 +273,38 @@ def risk_curve(
     aggregates: list[RiskRow] = []
     for i, n in enumerate(n_grid):
         n_seed = derive_child_seed(seed, i)
+        row = functools.partial(
+            RiskRow, dist.name, algo, alpha, beta, n, bayes_risk=dist.bayes_risk
+        )
         rep_estimates: list[RiskEstimate] = []
         for rep in range(reps):
             rep_seed = derive_child_seed(n_seed, rep)
             data = dist.sample(n, derive_child_seed(rep_seed, 0))
-            tree_seed = derive_child_seed(rep_seed, 1)
-            if algo == "randomized":
-                tree = build_randomized(
-                    data, RandomizedConfig(beta=beta, seed=tree_seed), workers=workers
-                )
-            else:
-                cfg = LookaheadConfig(alpha=alpha, beta=beta, d=dist.d, seed=tree_seed)
-                tree = build_lookahead(data, cfg, workers=workers)
+            tree = build_tree(algo, data, alpha, beta, derive_child_seed(rep_seed, 1), workers)
             est = empirical_risk(
                 tree_predictor(tree), dist, m, derive_child_seed(rep_seed, 2)
             )
             rep_estimates.append(est)
-            rows.append(
-                RiskRow(
-                    distribution=dist.name,
-                    algorithm=algo,
-                    alpha=alpha,
-                    beta=beta,
-                    n=n,
-                    reps=1,
-                    mean_risk=est.mean,
-                    std_error=est.std_error,
-                    bayes_risk=dist.bayes_risk,
-                )
-            )
+            rows.append(row(1, est.mean, est.std_error))
         means = [e.mean for e in rep_estimates]
         if reps > 1:
             agg_se = float(np.std(means, ddof=1) / math.sqrt(reps))
         else:
             agg_se = rep_estimates[0].std_error
-        agg = RiskRow(
-            distribution=dist.name,
-            algorithm=algo,
-            alpha=alpha,
-            beta=beta,
-            n=n,
-            reps=reps,
-            mean_risk=float(np.mean(means)),
-            std_error=agg_se,
-            bayes_risk=dist.bayes_risk,
-        )
-        aggregates.append(agg)
-        rows.append(agg)
+        aggregates.append(row(reps, float(np.mean(means)), agg_se))
+        rows.append(aggregates[-1])
     return RiskCurve(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
+def _csv_cell(value):
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else value
+
+
 def write_risk_csv(curve: RiskCurve, path) -> None:
+    """One header of ``RISK_CSV_COLUMNS``, then one line per row of the curve."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RISK_CSV_COLUMNS)
-        for row in curve.rows:
-            writer.writerow(
-                [
-                    row.distribution,
-                    row.algorithm,
-                    "" if row.alpha is None else repr(row.alpha),
-                    repr(row.beta),
-                    row.n,
-                    row.reps,
-                    repr(row.mean_risk),
-                    repr(row.std_error),
-                    repr(row.bayes_risk),
-                ]
-            )
+        writer.writerows([_csv_cell(v) for v in astuple(row)] for row in curve.rows)

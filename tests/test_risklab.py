@@ -6,10 +6,12 @@ import pytest
 from scipy.integrate import quad
 
 from celltree import (
+    LookaheadConfig,
     RandomizedConfig,
     bayes_classify,
     bayes_predictor,
     build_full_tree,
+    build_lookahead,
     build_randomized,
     builtin_distributions,
     constant_predictor,
@@ -21,7 +23,7 @@ from celltree import (
     tree_predictor,
     write_risk_csv,
 )
-from celltree.risklab import RISK_CSV_COLUMNS
+from celltree.risklab import ALGORITHMS, RISK_CSV_COLUMNS, RiskCurve, RiskRow, build_tree
 
 
 def test_catalog_lists_all_builtins():
@@ -286,6 +288,28 @@ def test_write_risk_csv(tmp_path):
     assert by_name["algorithm"] == "randomized"
     assert by_name["alpha"] == ""  # not applicable to the randomized rule
     assert float(by_name["mean_risk"]) == curve.rows[0].mean_risk
+
+
+def test_build_tree_dispatches_to_each_builder():
+    data = get_distribution("d-lin", d=2).sample(300, seed=41)
+    assert ALGORITHMS == ("randomized", "lookahead")
+    assert build_tree("randomized", data, None, 0.5, seed=3) == build_randomized(
+        data, RandomizedConfig(beta=0.5, seed=3)
+    )
+    assert build_tree("lookahead", data, 0.1, 0.2, seed=3) == build_lookahead(
+        data, LookaheadConfig(alpha=0.1, beta=0.2, d=2, seed=3)
+    )
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        build_tree("greedy", data, None, 0.5, seed=3)
+
+
+def test_risk_csv_columns_are_the_row_fields_in_order(tmp_path):
+    row = RiskRow("d-lin", "randomized", None, 0.5, 10, 1, 0.3, 0.01, 0.25)
+    assert RISK_CSV_COLUMNS == tuple(RiskRow.__dataclass_fields__)
+    write_risk_csv(RiskCurve(rows=(row,), aggregates=(row,)), tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_text().splitlines()[1] == (
+        "d-lin,randomized,,0.5,10,1,0.3,0.01,0.25"
+    )
 
 
 # ---------------------------------------------------------------------------
