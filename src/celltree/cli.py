@@ -20,6 +20,7 @@ from . import __version__
 from .core import (
     DatasetFormatError,
     TreeSchemaError,
+    _is_int,
     deserialize_tree,
     load_csv,
     predict_batch,
@@ -208,7 +209,7 @@ def cmd_inspect(args) -> int:
     stats = tree_stats(tree)
     conservation = "unknown"
     n = tree.config.get("n")
-    if isinstance(n, int):
+    if _is_int(n):
         try:
             validate_tree(tree, n)
             conservation = "pass"

@@ -449,7 +449,7 @@ def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
                 raise TreeSchemaError("cut threshold must be finite")
         stack.extend(node.children)
     stats = tree_stats(tree)
-    if n is None and isinstance(tree.config.get("n"), int):
+    if n is None and _is_int(tree.config.get("n")):
         n = tree.config["n"]
     if n is not None and stats.leaf_points + stats.eaten != n:
         raise TreeSchemaError(
@@ -463,6 +463,16 @@ def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
 # canonical serialization
 
 _CONFIG_SCALARS = (str, int, float, bool, type(None))
+
+
+def _check_config(config) -> None:
+    """The config rule, read and write alike: strings to JSON scalars, finite floats."""
+    if not isinstance(config, dict) or not all(
+        isinstance(k, str) and isinstance(v, _CONFIG_SCALARS) for k, v in config.items()
+    ):
+        raise TreeSchemaError("config must map strings to JSON scalars")
+    if not all(math.isfinite(v) for v in config.values() if isinstance(v, float)):
+        raise TreeSchemaError("config values must be finite")
 
 
 def _node_doc(node: Node) -> dict:
@@ -480,18 +490,16 @@ def serialize_tree(tree: PartitionTree) -> str:
 
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
-    1-based on the wire.
+    1-based on the wire. A tree nested deeper than the writer's recursion
+    allows raises TreeSchemaError, as ``deserialize_tree`` does.
     """
-    for key, value in tree.config.items():
-        if not isinstance(key, str) or not isinstance(value, _CONFIG_SCALARS):
-            raise TreeSchemaError("config must map strings to JSON scalars")
-    doc = {
-        "mode": tree.mode,
-        "d": tree.d,
-        "config": dict(tree.config),
-        "root": _node_doc(tree.root),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    _check_config(tree.config)
+    doc = {"mode": tree.mode, "d": tree.d, "config": dict(tree.config)}
+    try:
+        doc["root"] = _node_doc(tree.root)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except RecursionError:
+        raise TreeSchemaError("tree nested too deeply to serialize") from None
 
 
 def _is_int(value) -> bool:
@@ -527,7 +535,11 @@ def _parse_node(doc, d: int, arity: int) -> Node:
             or not isinstance(entry[1], (int, float))
         ):
             raise TreeSchemaError("cut must be [dim, threshold]")
-        dim, thr = entry[0], float(entry[1])
+        dim = entry[0]
+        try:
+            thr = float(entry[1])
+        except OverflowError:  # an integer literal beyond the float range
+            thr = math.inf
         if not 1 <= dim <= d:
             raise TreeSchemaError(f"cut dimension {dim} out of range 1..{d}")
         if not math.isfinite(thr):
@@ -547,7 +559,7 @@ def deserialize_tree(text: str) -> PartitionTree:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise TreeSchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise TreeSchemaError("document nested too deeply") from None
@@ -558,10 +570,7 @@ def deserialize_tree(text: str) -> PartitionTree:
         raise TreeSchemaError(f"unknown mode {mode!r}")
     if not _is_int(d) or d < 1:
         raise TreeSchemaError("d must be a positive integer")
-    if not isinstance(config, dict) or not all(
-        isinstance(k, str) and isinstance(v, _CONFIG_SCALARS) for k, v in config.items()
-    ):
-        raise TreeSchemaError("config must map strings to JSON scalars")
+    _check_config(config)
     arity = 2 if mode == "binary" else 1 << d
     try:
         root = _parse_node(doc["root"], d, arity)

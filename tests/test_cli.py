@@ -406,6 +406,37 @@ def test_train_checks_flags_before_parsing_the_file_exit_2(tmp_path, capsys, fla
     assert message in stderr and "line" not in stderr
 
 
+@pytest.mark.parametrize("command", ["inspect", "eval"])
+def test_threshold_beyond_the_float_range_exit_4(tmp_path, capsys, command):
+    path = tmp_path / "tree.json"
+    path.write_text(
+        '{"config":{},"d":1,"mode":"binary","root":{"children":[{"count0":1,"count1":0},'
+        '{"count0":0,"count1":1}],"eaten":1,"splits":[[1,1' + "0" * 400 + "]]}}"
+    )
+    extra = ("--dist", "d-lin", "--dim", "1", "--m", "10") if command == "eval" else ()
+    code, _, stderr = run(capsys, command, "--tree", path, *extra)
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert "cut threshold must be finite" in stderr
+
+
+def test_inspect_non_finite_config_value_exit_4(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text('{"config":{"n":NaN},"d":1,"mode":"binary","root":{"count0":1,"count1":0}}')
+    code, stdout, stderr = run(capsys, "inspect", "--tree", path)
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert stdout == ""
+
+
+def test_inspect_boolean_n_leaves_conservation_unknown(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text('{"config":{"n":true},"d":1,"mode":"binary","root":{"count0":1,"count1":0}}')
+    code, stdout, _ = run(capsys, "inspect", "--tree", path)
+    assert code == 0
+    assert "conservation=unknown" in stdout
+
+
 @pytest.mark.parametrize(
     "flags, sha256",
     [

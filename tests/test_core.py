@@ -29,6 +29,8 @@ from celltree import (
     save_csv,
     serialize_tree,
     strict_rank,
+    tree_stats,
+    validate_tree,
 )
 from conftest import make_dataset
 
@@ -330,6 +332,57 @@ def test_deserialize_rejects_deep_nesting():
     assert deserialize_tree(nested_document(50)).root is not None
     with pytest.raises(TreeSchemaError, match="nested too deeply"):
         deserialize_tree(nested_document(900))
+
+
+def _split_doc(threshold: str) -> str:
+    return (
+        '{"config":{},"d":1,"mode":"binary","root":{"children":[{"count0":0,"count1":0},'
+        '{"count0":0,"count1":0}],"eaten":1,"splits":[[1,' + threshold + "]]}}"
+    )
+
+
+def test_deserialize_rejects_a_threshold_beyond_the_float_range():
+    assert deserialize_tree(_split_doc("1" + "0" * 300)).root.splits[0][1] == 1e300
+    with pytest.raises(TreeSchemaError, match="cut threshold must be finite"):
+        deserialize_tree(_split_doc("1" + "0" * 400))
+    with pytest.raises(TreeSchemaError):  # too many digits for int() at all
+        deserialize_tree(_split_doc("1" * 5000))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_deserialize_rejects_non_finite_config_values(literal):
+    with pytest.raises(TreeSchemaError, match="finite"):
+        deserialize_tree('{"config":{"n":' + literal + '},"d":1,"mode":"binary",'
+                         '"root":{"count0":1,"count1":0}}')
+
+
+def test_serialize_rejects_non_finite_config_values():
+    tree = PartitionTree(root=Leaf(1, 0), d=1, mode="binary", config={"alpha": math.nan})
+    with pytest.raises(TreeSchemaError, match="finite"):
+        serialize_tree(tree)
+
+
+def test_validate_tree_treats_a_boolean_n_as_unknown():
+    tree = PartitionTree(root=Leaf(2, 3), d=1, mode="binary", config={"n": True})
+    assert validate_tree(tree).leaf_points == 5
+    with pytest.raises(TreeSchemaError, match="conservation"):
+        validate_tree(PartitionTree(root=Leaf(2, 3), d=1, mode="binary", config={"n": 1}))
+
+
+def _chain(depth: int) -> PartitionTree:
+    """A binary d=1 tree whose low branch is ``depth`` splits deep, built without recursion."""
+    node = Leaf(1, 0)
+    for _ in range(depth):
+        node = Internal(((0, 0.5),), (-1,), (node, Leaf(0, 1)))
+    return PartitionTree(root=node, d=1, mode="binary", config={"n": 2 * depth + 1})
+
+
+def test_serialize_rejects_a_tree_too_deep_to_write():
+    with pytest.raises(TreeSchemaError, match="nested too deeply to serialize"):
+        serialize_tree(_chain(2999))
+    doc = serialize_tree(_chain(300))
+    assert serialize_tree(deserialize_tree(doc)) == doc
+    assert tree_stats(deserialize_tree(doc)).max_depth == 300
 
 
 def test_full_mode_arity_enforced_on_parse():
