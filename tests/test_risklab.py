@@ -23,7 +23,7 @@ from celltree import (
     tree_predictor,
     write_risk_csv,
 )
-from celltree.risklab import ALGORITHMS, RISK_CSV_COLUMNS, RiskCurve, RiskRow, build_tree
+from celltree.risklab import ALGORITHMS, RISK_CSV_COLUMNS, build_tree
 
 
 def test_catalog_lists_all_builtins():
@@ -301,15 +301,6 @@ def test_build_tree_dispatches_to_each_builder():
     )
     with pytest.raises(ValueError, match="unknown algorithm"):
         build_tree("greedy", data, None, 0.5, seed=3)
-
-
-def test_risk_csv_columns_are_the_row_fields_in_order(tmp_path):
-    row = RiskRow("d-lin", "randomized", None, 0.5, 10, 1, 0.3, 0.01, 0.25)
-    assert RISK_CSV_COLUMNS == tuple(RiskRow.__dataclass_fields__)
-    write_risk_csv(RiskCurve(rows=(row,), aggregates=(row,)), tmp_path / "one.csv")
-    assert (tmp_path / "one.csv").read_text().splitlines()[1] == (
-        "d-lin,randomized,,0.5,10,1,0.3,0.01,0.25"
-    )
 
 
 # ---------------------------------------------------------------------------
