@@ -592,12 +592,25 @@ def _parse_label(cell: str, line: int) -> int:
     return int(value)
 
 
+def _numeric(cells: Sequence[str]) -> bool:
+    try:
+        [float(c) for c in cells]
+        return True
+    except ValueError:
+        return False
+
+
 def load_csv(path) -> Dataset:
     """Load a dataset from CSV: d feature columns then one 0/1 label column.
 
     A header row is detected by failing to parse as numbers. An empty body
     under a header yields an empty dataset whose d comes from the header.
     """
+    return _load_csv_rows(path)
+
+
+def _load_csv_rows(path) -> Dataset:
+    """The row parser: defines the CSV format and reports every error."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -610,13 +623,6 @@ def load_csv(path) -> Dataset:
     ncols = len(first)
     if ncols < 2:
         raise DatasetFormatError("need at least one feature column and a label", first_line)
-
-    def _numeric(row: list[str]) -> bool:
-        try:
-            [float(c) for c in row]
-            return True
-        except ValueError:
-            return False
 
     body = rows[1:] if not _numeric(first) else rows
     d = ncols - 1
