@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -605,8 +606,65 @@ def load_csv(path) -> Dataset:
 
     A header row is detected by failing to parse as numbers. An empty body
     under a header yields an empty dataset whose d comes from the header.
+    Plain numeric files are read by ``np.loadtxt``; every other file, and
+    every file with an error, goes to the row parser, which gives the same
+    result and reports the error with its line number.
     """
-    return _load_csv_rows(path)
+    data = _load_csv_fast(path)
+    return data if data is not None else _load_csv_rows(path)
+
+
+# np.loadtxt opens paths with these suffixes through a decompressor
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+# float() does not strip U+001C..U+001F around a number, np.loadtxt does;
+# in UTF-8 these bytes encode nothing else
+_NOT_FLOAT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _has_bytes(path: str, needles: Sequence[bytes]) -> bool:
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            if any(needle in block for needle in needles):
+                return True
+    return False
+
+
+def _load_csv_fast(path) -> Dataset | None:
+    """``np.loadtxt``'s reading of a CSV, or None when only the row parser
+    can answer.
+
+    The header and the column count come from the first line, as in the row
+    parser. The result is kept only where it is the row parser's too: at
+    least one row, ``ncols`` columns, 0/1 labels, finite features, and no
+    cell that one parser reads and ``float()`` does not.
+    """
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(name, str) or name.lower().endswith(_NUMPY_DECOMPRESSES):
+        return None
+    try:
+        with open(name, "r", encoding="utf-8", newline="") as fh:
+            first = fh.readline().rstrip("\r\n")
+            cells = first.split(",")
+            # quotes and NUL are for csv.reader to read
+            if len(cells) < 2 or '"' in first or "\x00" in first:
+                return None
+            header = not _numeric(cells)
+            if header and not any(line.strip("\r\n") for line in fh):
+                return None  # an empty body, which loadtxt would warn about
+        table = np.loadtxt(
+            name, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
+            ndmin=2, skiprows=1 if header else 0, encoding="utf-8",
+        )
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(cells):
+        return None
+    xs, ys = table[:, :-1], table[:, -1]
+    if not (((ys == 0.0) | (ys == 1.0)).all() and np.isfinite(xs).all()):
+        return None
+    if _has_bytes(name, _NOT_FLOAT_SPACE):
+        return None
+    return Dataset(xs, ys)
 
 
 def _load_csv_rows(path) -> Dataset:

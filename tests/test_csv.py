@@ -5,19 +5,22 @@ the same arrays bit for bit, or the same exception with the same message.
 The differential tests draw files from a cell grammar that covers the inputs
 where a faster reader could disagree with ``float()`` and ``csv.reader``.
 """
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celltree import load_csv
-from celltree.core import _load_csv_rows
+from celltree import DatasetFormatError, load_csv, save_csv
+from celltree.core import _load_csv_fast, _load_csv_rows
+from conftest import make_dataset
 
 SIGNS = st.sampled_from(["", "+", "-"])
 MANTISSAS = st.sampled_from(["0", "1", "7", "0.5", ".5", "1.", "12.25", "007", "1_0", "١٢", "１"])
 EXPONENTS = st.sampled_from(["", "e5", "E-3", "e+07", "e400", "e-400", "e-5_0", "e"])
 SPECIALS = st.sampled_from(
     ["inf", "-Infinity", "+inf", "nan", "NaN", "-nan", "", "abc", "1#2", "#", '"1.5"', '"',
-     "0x10", "1 2", ".", "1e5.", "\udcff"]
+     "0x10", "1 2", ".", "1e5.", "\x00", "\udcff"]
 )
 # ASCII and Unicode whitespace, and the four ASCII separators U+001C..U+001F,
 # which str.isspace() calls whitespace but float() refuses to strip
@@ -42,28 +45,43 @@ MESSY_LABELS = st.one_of(
     st.sampled_from(["2", "0.5", "-1", "nan", "inf", "x", '"1"', ""]),
     st.builds("".join, st.tuples(SPACES, CLEAN_LABELS, SPACES)),
 )
-HEADERS = st.sampled_from(["x1,{}y", "a,{}b", "x#,{}y", '"x1",{}y', "x", "x,y,z,{}w", "1,{}y"])
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def first_lines(d: int):
+    """Header lines, and first lines only csv.reader reads right."""
+    names = [f"x{j + 1}" for j in range(d)]
+    return st.sampled_from([
+        ",".join(names + ["y"]),
+        ",".join(["a"] * d),
+        ",".join(names + ["y", "z"]),
+        ",".join(names[:-1] + ["x#", "y"]),
+        ",".join(names[:-1] + ["x\x00", "y"]),
+        ",".join(["1"] * d + ["y"]),
+        ",".join(f'"{c}"' for c in names + ["y"]),
+        '"x,1",' + ",".join(names[1:] + ["y"]),
+        ",".join(['"0.5"'] * d + ['"1"']),
+    ])
 
 
 @st.composite
 def csv_texts(draw) -> str:
-    """A CSV file: an optional header, rows of d + 1 cells, and noise.
+    """A CSV file: an optional first line, rows of d + 1 cells, and noise.
 
-    Clean files hold only shortest-repr features and 0/1 labels, so many
-    examples reach the fast path; messy files mix in every cell form above,
-    blank and whitespace-only lines, wrong column counts and bad labels.
+    Each part is plain or odd on its own draw. Plain rows hold only
+    shortest-repr features and 0/1 labels, so many files reach the fast
+    path; odd rows mix in every cell form above, blank and whitespace-only
+    lines, wrong column counts and bad labels.
     """
     d = draw(st.integers(1, 3))
-    messy = draw(st.booleans())
-    features = MESSY_FEATURES if messy else CLEAN_FEATURES
-    labels = MESSY_LABELS if messy else CLEAN_LABELS
+    odd_first, odd_rows, odd_ends, odd_start = (draw(st.booleans()) for _ in range(4))
+    features = MESSY_FEATURES if odd_rows else CLEAN_FEATURES
+    labels = MESSY_LABELS if odd_rows else CLEAN_LABELS
     lines = []
     if draw(st.booleans()):
-        middle = "".join(f"x{j + 2}," for j in range(d - 1))
-        lines.append(draw(HEADERS).format(middle) if messy else f"x1,{middle}y")
+        lines.append(draw(first_lines(d)) if odd_first else ",".join(f"x{j + 1}" for j in range(d)) + ",y")
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "short", "long"])) if messy else "row"
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "short", "long"])) if odd_rows else "row"
         if kind == "blank":
             lines.append("")
         elif kind == "space":
@@ -72,12 +90,12 @@ def csv_texts(draw) -> str:
             width = d + {"row": 0, "short": -1, "long": 1}[kind]
             cells = [draw(features) for _ in range(width)] + [draw(labels)]
             lines.append(",".join(cells))
-    ends = [draw(LINE_ENDS) if messy else "\n" for _ in lines]
+    ends = [draw(LINE_ENDS) if odd_ends else "\n" for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
-    if messy and text and draw(st.booleans()):
+    if odd_ends and draw(st.booleans()):
         text = text[:-1] if text.endswith(("\n", "\r")) else text
-    if messy and draw(st.booleans()):
-        text = "\ufeff" + text
+    if odd_start:
+        text = draw(st.sampled_from(["\ufeff", "\n", "\r\n", " \n"])) + text
     return text
 
 
@@ -102,6 +120,25 @@ def test_load_csv_matches_the_row_parser(csv_path, text):
     assert outcome(load_csv, csv_path) == outcome(_load_csv_rows, csv_path)
 
 
+@pytest.mark.parametrize("text", [
+    "0\n1\n",
+    "\n1,0\n",
+    " \n1,0\n",
+    '"0.5",1\n0.25,0\n',
+    '"x,1",y\n0.5,1\n',
+    "x\x00,y\n0.5,1\n",
+    "\ufeff0.5,1\n0.25,0\n",
+    "x,y\n0.5,1\n \n",
+    "x,y\r0.5,1\r0.25,0",
+    "x,y\n1_0,1\n",
+    "x,y\n-0.0,-0\n",
+])
+def test_edge_files_match_the_row_parser(tmp_path, text):
+    p = tmp_path / "edge.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert outcome(load_csv, p) == outcome(_load_csv_rows, p)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["x1,x2,y\n", "x1,x2,y\r\n\r\n\n", "x1,x2,y"])
 def test_header_only_file_is_empty_and_warns_nothing(tmp_path, text):
@@ -109,3 +146,40 @@ def test_header_only_file_is_empty_and_warns_nothing(tmp_path, text):
     p.write_bytes(text.encode("utf-8"))
     data = load_csv(p)
     assert (data.n, data.d) == (0, 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+def test_fast_path_never_returns_data_the_row_parser_would_not(csv_path, text):
+    csv_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    data = _load_csv_fast(csv_path)
+    if data is not None:
+        assert outcome(lambda _: data, csv_path) == outcome(_load_csv_rows, csv_path)
+
+
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("d", [1, 3])
+def test_fast_path_reads_what_save_csv_writes(tmp_path, rng, header, d):
+    ds = make_dataset(rng, 40, d)
+    p = tmp_path / "saved.csv"
+    save_csv(ds, p, header=header)
+    data = _load_csv_fast(p)
+    assert data is not None
+    assert data.xs.tobytes() == ds.xs.tobytes() and data.ys.tobytes() == ds.ys.tobytes()
+
+
+def test_plain_text_under_a_compressed_suffix_is_read_as_text(tmp_path):
+    # np.loadtxt would open this path through gzip
+    p = tmp_path / "data.csv.gz"
+    p.write_text("x1,y\n0.5,1\n")
+    assert _load_csv_fast(p) is None
+    assert load_csv(p).xs.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_separator_around_a_number_is_refused_as_float_refuses_it(tmp_path, sep):
+    p = tmp_path / "sep.csv"
+    p.write_text(f"x1,y\n0.5,1\n{sep}0.25,0\n")
+    message = f"line 3: feature {sep + '0.25'!r} is not numeric"
+    with pytest.raises(DatasetFormatError, match=re.escape(message)):
+        load_csv(p)
