@@ -476,13 +476,16 @@ def _check_config(config) -> None:
         raise TreeSchemaError("config values must be finite")
 
 
-def _node_doc(node: Node) -> dict:
+def _node_doc(node: Node, d: int) -> dict:
     if isinstance(node, Leaf):
         return {"count0": node.count0, "count1": node.count1}
+    for dim, _ in node.splits:
+        if not 0 <= dim < d:
+            raise TreeSchemaError(f"cut dimension {dim!r} out of range 0..{d - 1}")
     return {
         "splits": [[dim + 1, float(thr)] for dim, thr in node.splits],
         "eaten": len(node.eaten),
-        "children": [_node_doc(c) for c in node.children],
+        "children": [_node_doc(c, d) for c in node.children],
     }
 
 
@@ -491,16 +494,21 @@ def serialize_tree(tree: PartitionTree) -> str:
 
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
-    1-based on the wire. A tree nested deeper than the writer's recursion
-    allows raises TreeSchemaError, as ``deserialize_tree`` does.
+    1-based on the wire. A tree that ``deserialize_tree`` would refuse (a
+    cut dimension outside 0..d-1, a non-finite threshold, or nesting deeper
+    than the writer's recursion allows) raises TreeSchemaError.
     """
     _check_config(tree.config)
     doc = {"mode": tree.mode, "d": tree.d, "config": dict(tree.config)}
     try:
-        doc["root"] = _node_doc(tree.root)
+        doc["root"] = _node_doc(tree.root, tree.d)
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except RecursionError:
         raise TreeSchemaError("tree nested too deeply to serialize") from None
+    except TreeSchemaError:
+        raise
+    except ValueError:  # the config is finite, so allow_nan=False met a threshold
+        raise TreeSchemaError("cut threshold must be finite") from None
 
 
 def _is_int(value) -> bool:

@@ -385,6 +385,25 @@ def test_serialize_rejects_a_tree_too_deep_to_write():
     assert tree_stats(deserialize_tree(doc)).max_depth == 300
 
 
+def test_serialize_rejects_a_cut_dimension_outside_the_tree():
+    leaves = (Leaf(1, 0), Leaf(0, 1))
+    tree = PartitionTree(Internal(((3, 0.5),), (-1,), leaves), d=1, mode="binary", config={})
+    with pytest.raises(TreeSchemaError, match="cut dimension 3 out of range 0..0"):
+        serialize_tree(tree)
+    tree = PartitionTree(Internal(((-1, 0.5),), (-1,), leaves), d=2, mode="binary", config={})
+    with pytest.raises(TreeSchemaError, match="cut dimension -1 out of range 0..1"):
+        serialize_tree(tree)
+
+
+@pytest.mark.parametrize("thr", [math.nan, math.inf, -math.inf])
+def test_serialize_rejects_a_non_finite_threshold(thr):
+    inner = Internal(((0, thr),), (-1,), (Leaf(1, 0), Leaf(0, 1)))
+    tree = PartitionTree(Internal(((0, 0.5),), (-1,), (inner, Leaf(2, 0))), d=1,
+                         mode="binary", config={})
+    with pytest.raises(TreeSchemaError, match="cut threshold must be finite"):
+        serialize_tree(tree)
+
+
 def test_full_mode_arity_enforced_on_parse():
     doc = {
         "mode": "full",
