@@ -269,6 +269,8 @@ def risk_curve(
         if alpha is None:
             raise ValueError("lookahead needs alpha")
         LookaheadConfig(alpha=alpha, beta=beta, d=dist.d)  # admissibility check up front
+    else:
+        RandomizedConfig(beta=beta)  # beta range check up front
     rows: list[RiskRow] = []
     aggregates: list[RiskRow] = []
     for i, n in enumerate(n_grid):

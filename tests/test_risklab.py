@@ -252,6 +252,12 @@ def test_risk_curve_row_layout():
         assert agg.alpha is None and agg.beta == 0.5
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, -0.5, math.nan])
+def test_risk_curve_checks_a_randomized_beta_before_any_work(beta):
+    with pytest.raises(ValueError, match="beta must be in"):
+        risk_curve("randomized", get_distribution("d-lin", d=1), [], 1, 10, 0, beta=beta)
+
+
 def test_risk_curve_is_reproducible():
     dist = get_distribution("d-lin", d=2)
     kwargs = dict(n_grid=(200,), reps=2, m=1000, seed=33, alpha=0.1, beta=0.2)
