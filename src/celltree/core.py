@@ -716,10 +716,20 @@ def _load_csv_rows(path) -> Dataset:
     return Dataset(xs, ys)
 
 
+# rows per block written by save_csv, which holds one block's text at a time
+_CSV_BLOCK_ROWS = 1 << 14
+
+
 def save_csv(dataset: Dataset, path, header: bool = True) -> None:
+    """Write a dataset as CSV: ``repr`` of each feature, then the 0/1 label.
+
+    The bytes are those of ``csv.writer`` (comma-separated, CRLF line ends,
+    no quoting needed), written a block of rows at a time.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow([f"x{j + 1}" for j in range(dataset.d)] + ["y"])
-        for i in range(dataset.n):
-            writer.writerow([repr(float(v)) for v in dataset.xs[i]] + [int(dataset.ys[i])])
+            fh.write(",".join([f"x{j + 1}" for j in range(dataset.d)] + ["y"]) + "\r\n")
+        for start in range(0, dataset.n, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            rows = zip(dataset.xs[block].tolist(), dataset.ys[block].tolist())
+            fh.write("".join(f"{','.join(map(repr, x))},{y}\r\n" for x, y in rows))

@@ -4,14 +4,18 @@
 the same arrays bit for bit, or the same exception with the same message.
 The differential tests draw files from a cell grammar that covers the inputs
 where a faster reader could disagree with ``float()`` and ``csv.reader``.
+``save_csv`` must write the bytes ``csv.writer`` writes.
 """
+import csv
+import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celltree import DatasetFormatError, load_csv, save_csv
+from celltree import Dataset, DatasetFormatError, core, load_csv, save_csv
 from celltree.core import _load_csv_fast, _load_csv_rows
 from conftest import make_dataset
 
@@ -183,3 +187,32 @@ def test_separator_around_a_number_is_refused_as_float_refuses_it(tmp_path, sep)
     message = f"line 3: feature {sep + '0.25'!r} is not numeric"
     with pytest.raises(DatasetFormatError, match=re.escape(message)):
         load_csv(p)
+
+
+def csv_writer_bytes(ds, header: bool) -> bytes:
+    """What save_csv wrote when it called csv.writer.writerow once per row."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    if header:
+        writer.writerow([f"x{j + 1}" for j in range(ds.d)] + ["y"])
+    for i in range(ds.n):
+        writer.writerow([repr(float(v)) for v in ds.xs[i]] + [int(ds.ys[i])])
+    return out.getvalue().encode("utf-8")
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-300, 1.7976931348623157e308, 0.1, -2.5]
+
+
+@pytest.mark.parametrize("block_rows", [2, 1 << 14])
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("d", [1, 3])
+def test_save_csv_writes_the_csv_writer_bytes(tmp_path, monkeypatch, block_rows, header, d):
+    monkeypatch.setattr(core, "_CSV_BLOCK_ROWS", block_rows)
+    values = np.array(EXTREMES * d, dtype=np.float64)
+    xs = values.reshape(d, len(EXTREMES)).T.copy()
+    xs[:, 1:] = xs[::-1, 1:]  # rows differ across columns
+    ys = np.arange(len(EXTREMES)) % 2
+    for ds in (Dataset(xs, ys), Dataset(xs[:3], ys[:3]), Dataset.empty(d)):
+        p = tmp_path / "saved.csv"
+        save_csv(ds, p, header=header)
+        assert p.read_bytes() == csv_writer_bytes(ds, header)
