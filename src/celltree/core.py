@@ -624,15 +624,15 @@ def load_csv(path) -> Dataset:
 
 # np.loadtxt opens paths with these suffixes through a decompressor
 _NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
-# float() does not strip U+001C..U+001F around a number, np.loadtxt does;
-# in UTF-8 these bytes encode nothing else
-_NOT_FLOAT_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _has_bytes(path: str, needles: Sequence[bytes]) -> bool:
+def _has_separator_bytes(path: str) -> bool:
+    """True if the file holds a byte 1c..1f. np.loadtxt strips U+001C..U+001F
+    around a number as whitespace and float() does not; in UTF-8 these bytes
+    encode nothing else."""
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
-            if any(needle in block for needle in needles):
+            if any(sep in block for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
                 return True
     return False
 
@@ -670,7 +670,7 @@ def _load_csv_fast(path) -> Dataset | None:
     xs, ys = table[:, :-1], table[:, -1]
     if not (((ys == 0.0) | (ys == 1.0)).all() and np.isfinite(xs).all()):
         return None
-    if _has_bytes(name, _NOT_FLOAT_SPACE):
+    if _has_separator_bytes(name):
         return None
     return Dataset(xs, ys)
 
