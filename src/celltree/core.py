@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
@@ -622,19 +623,27 @@ def load_csv(path) -> Dataset:
     return data if data is not None else _load_csv_rows(path)
 
 
-# np.loadtxt opens paths with these suffixes through a decompressor
-_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+def _plain_bytes(fh) -> bool:
+    """True unless the file holds bytes on which np.loadtxt and the row
+    parser could disagree.
 
-
-def _has_separator_bytes(path: str) -> bool:
-    """True if the file holds a byte 1c..1f. np.loadtxt strips U+001C..U+001F
-    around a number as whitespace and float() does not; in UTF-8 these bytes
-    encode nothing else."""
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            if any(sep in block for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-                return True
-    return False
+    Two kinds can. A byte 1c..1f: np.loadtxt strips U+001C..U+001F around a
+    number as whitespace and float() does not, and in UTF-8 these bytes
+    encode nothing else. And a field longer than csv.field_size_limit(),
+    which csv.reader refuses. The fast path keeps no file with quotes, so a
+    field ends at a comma or a line end. No field is over the limit when
+    every aligned window of half the limit holds one of them, since a run
+    of other bytes longer than the limit covers a whole window.
+    """
+    window = min(max(csv.field_size_limit() // 2, 1), 1 << 20)
+    size = window * ((1 << 20) // window)  # blocks start on window bounds
+    for block in iter(lambda: fh.read(size), b""):
+        if any(sep in block for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+            return False
+        for k in range(0, len(block) - window + 1, window):
+            if not any(block.find(end, k, k + window) >= 0 for end in (b",", b"\n", b"\r")):
+                return False
+    return True
 
 
 def _load_csv_fast(path) -> Dataset | None:
@@ -644,33 +653,37 @@ def _load_csv_fast(path) -> Dataset | None:
     The header and the column count come from the first line, as in the row
     parser. The result is kept only where it is the row parser's too: at
     least one row, ``ncols`` columns, 0/1 labels, finite features, and no
-    cell that one parser reads and ``float()`` does not.
+    byte that one parser reads and the other does not. Only a regular file
+    is read here, through one open handle.
     """
-    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
-    if not isinstance(name, str) or name.lower().endswith(_NUMPY_DECOMPRESSES):
-        return None
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        return None  # an open descriptor, read once by the row parser
     try:
-        with open(name, "r", encoding="utf-8", newline="") as fh:
-            first = fh.readline().rstrip("\r\n")
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # a pipe or a device, read once by the row parser
+        with open(path, "r", encoding="utf-8") as fh:
+            if not _plain_bytes(fh.buffer):
+                return None
+            fh.seek(0)
+            first = fh.readline().rstrip("\n")
             cells = first.split(",")
             # quotes and NUL are for csv.reader to read
             if len(cells) < 2 or '"' in first or "\x00" in first:
                 return None
             header = not _numeric(cells)
-            if header and not any(line.strip("\r\n") for line in fh):
+            if header and not any(line.strip("\n") for line in fh):
                 return None  # an empty body, which loadtxt would warn about
-        table = np.loadtxt(
-            name, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
-            ndmin=2, skiprows=1 if header else 0, encoding="utf-8",
-        )
-    except ValueError:  # includes UnicodeDecodeError
+            fh.seek(0)
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar=None, dtype=np.float64,
+                ndmin=2, skiprows=1 if header else 0,
+            )
+    except (OSError, ValueError):  # the row parser reports it; includes UnicodeDecodeError
         return None
     if table.shape[0] == 0 or table.shape[1] != len(cells):
         return None
     xs, ys = table[:, :-1], table[:, -1]
     if not (((ys == 0.0) | (ys == 1.0)).all() and np.isfinite(xs).all()):
-        return None
-    if _has_separator_bytes(name):
         return None
     return Dataset(xs, ys)
 
@@ -683,6 +696,8 @@ def _load_csv_rows(path) -> Dataset:
             rows = [(i + 1, row) for i, row in enumerate(reader) if row]
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"file is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or NUL before 3.11
+            raise DatasetFormatError(str(exc), reader.line_num) from None
     if not rows:
         raise DatasetFormatError("empty file, cannot infer dimension")
     first_line, first = rows[0]

@@ -310,6 +310,18 @@ def test_undecodable_tree_document_exit_4(tmp_path, capsys):
     assert "UTF-8" in stderr
 
 
+def test_field_over_the_size_limit_reports_its_line_exit_4(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("x1,y\n0.5,1\n0." + "0" * csv.field_size_limit() + "5,0\n")
+    code, _, stderr = run(
+        capsys, "train", "--algo", "randomized", "--data", path,
+        "--out", tmp_path / "t.json",
+    )
+    assert code == 4
+    assert_one_line_error(stderr)
+    assert "line 3" in stderr and "field limit" in stderr
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_feature_reports_its_line_exit_4(tmp_path, capsys, cell):
     path = tmp_path / "bad.csv"

@@ -8,7 +8,9 @@ where a faster reader could disagree with ``float()`` and ``csv.reader``.
 """
 import csv
 import io
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -173,11 +175,74 @@ def test_fast_path_reads_what_save_csv_writes(tmp_path, rng, header, d):
 
 
 def test_plain_text_under_a_compressed_suffix_is_read_as_text(tmp_path):
-    # np.loadtxt would open this path through gzip
+    # np.loadtxt would open this path through gzip; it is given the open file
     p = tmp_path / "data.csv.gz"
     p.write_text("x1,y\n0.5,1\n")
-    assert _load_csv_fast(p) is None
+    assert _load_csv_fast(p).xs.tolist() == [[0.5]]
     assert load_csv(p).xs.tolist() == [[0.5]]
+
+
+@pytest.mark.parametrize("rows", [3, 2000])  # under and over one read buffer
+def test_a_pipe_is_read_once_and_whole(tmp_path, rows):
+    text = "x1,x2,y\n" + "".join(f"{i / 7!r},{-i / 3!r},{i % 2}\n" for i in range(rows))
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with os.fdopen(write_fd, "w") as out:
+            out.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        piped = outcome(load_csv, f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=10)
+    assert piped == outcome(_load_csv_rows, p)
+    assert piped[1] == (rows, 2)
+
+
+def test_an_open_descriptor_is_read_by_the_row_parser(tmp_path):
+    p = tmp_path / "quoted.csv"
+    p.write_text('"x1","y"\n"0.5","1"\n')
+    assert load_csv(os.open(p, os.O_RDONLY)).xs.tolist() == [[0.5]]  # open() closes it
+
+
+LIMIT = csv.field_size_limit()
+
+
+def long_cell_files():
+    """Files with one cell of about the field size limit, in each place."""
+    for size in (LIMIT - 1, LIMIT, LIMIT + 1):
+        number = "0." + "0" * (size - 3) + "5"
+        over = f"{size - LIMIT:+d}"
+        yield pytest.param(f"x1,x2,y\n0.25,{number},1\n", id=f"feature{over}")
+        yield pytest.param(f"{number},0.25,0\n0.5,0.75,1\n", id=f"first-line{over}")
+        yield pytest.param(f"x1,{'x' * size},y\n0.25,0.5,1\n", id=f"header{over}")
+
+
+@pytest.mark.parametrize("text", long_cell_files())
+def test_cells_near_the_field_size_limit_match_the_row_parser(tmp_path, text):
+    p = tmp_path / "long.csv"
+    p.write_text(text)
+    assert outcome(load_csv, p) == outcome(_load_csv_rows, p)
+
+
+def test_a_cell_over_the_field_size_limit_is_a_format_error_with_its_line(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("x1,y\n0.5,1\n0." + "0" * LIMIT + "5,0\n")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"line 3: field larger than field limit ({LIMIT})")):
+        load_csv(p)
+
+
+def test_rows_longer_than_the_field_size_limit_reach_the_fast_path(tmp_path):
+    d = LIMIT // 4
+    p = tmp_path / "wide.csv"
+    p.write_text(",".join(["0.125"] * d + ["1"]) + "\n")
+    data = _load_csv_fast(p)
+    assert data is not None and data.xs.shape == (1, d)
 
 
 @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
