@@ -10,6 +10,7 @@ import csv
 import io
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -235,6 +236,19 @@ def test_a_cell_over_the_field_size_limit_is_a_format_error_with_its_line(tmp_pa
     p.write_text("x1,y\n0.5,1\n0." + "0" * LIMIT + "5,0\n")
     with pytest.raises(DatasetFormatError, match=re.escape(f"line 3: field larger than field limit ({LIMIT})")):
         load_csv(p)
+
+
+@pytest.mark.parametrize("limit", [1000, sys.maxsize])
+def test_a_changed_field_size_limit_holds_on_both_paths(tmp_path, limit):
+    p = tmp_path / "long.csv"
+    old = csv.field_size_limit(limit)
+    try:
+        for size in (999, 1000, 1001, 3000, 300_000):
+            for text in (f"x1,y\n0.{'0' * (size - 3)}5,1\n", f"x1,y\n0.5,1\n\x1c{'0' * size},0\n"):
+                p.write_text(text)
+                assert outcome(load_csv, p) == outcome(_load_csv_rows, p)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_rows_longer_than_the_field_size_limit_reach_the_fast_path(tmp_path):
