@@ -19,8 +19,8 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -303,16 +303,6 @@ def _node_arity(tree: PartitionTree) -> int:
     return 2 if tree.mode == "binary" else 1 << tree.d
 
 
-def cascade_child(cuts: Sequence[tuple[int, float]], x: np.ndarray) -> int:
-    """Child index of x under one node's 2^L - 1 heap-ordered (dim, threshold)
-    cuts: one low (0) or high (1) bit per cascade level, first level first."""
-    prefix = 0
-    for lvl in range(len(cuts).bit_length()):
-        dim, thr = cuts[(1 << lvl) - 1 + prefix]
-        prefix = (prefix << 1) | (0 if x[dim] < thr else 1)
-    return prefix
-
-
 def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
     """Route a query point to its leaf; returns (leaf, depth).
 
@@ -328,7 +318,12 @@ def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
     node = tree.root
     depth = 0
     while isinstance(node, Internal):
-        node = node.children[cascade_child(node.splits, x)]
+        # one low (0) or high (1) bit per cascade level, first level first
+        prefix = 0
+        for lvl in range(len(node.splits).bit_length()):
+            dim, thr = node.splits[(1 << lvl) - 1 + prefix]
+            prefix = (prefix << 1) | (0 if x[dim] < thr else 1)
+        node = node.children[prefix]
         depth += 1
     return node, depth
 
@@ -338,49 +333,66 @@ def classify(tree: PartitionTree, x: Sequence[float]) -> int:
     return leaf.label
 
 
-def _apply_tree(tree: PartitionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized routing. Returns (labels, depths) for all rows of X.
+def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
+    """Batch routing: the tree's leaves left to right, their depths, and each
+    query row's leaf index (both int64).
 
-    Raises ValueError if any coordinate is non-finite, as ``route`` does.
+    One pass over the nodes writes a flat binary cut table: a node's 2^L - 1
+    heap-ordered cuts become rows of their own, each with a dim, a threshold
+    and a low and a high target, where a target t < 0 is leaf ~t. All rows
+    then descend the table together, one gather per cut. Raises ValueError
+    on a bad shape or a non-finite coordinate, as ``route`` does.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.d:
         raise ValueError(f"queries must have shape (m, {tree.d})")
     if not np.isfinite(X).all():
         raise ValueError("query coordinates must be finite")
-    m = X.shape[0]
-    labels = np.zeros(m, dtype=np.int8)
-    depths = np.zeros(m, dtype=np.int64)
-    stack: list[tuple[Node, np.ndarray, int]] = [(tree.root, np.arange(m), 0)]
+    leaves: list[Leaf] = []
+    depths: list[int] = []
+    dims: list[int] = []
+    thresholds: list[float] = []
+    targets = [0]  # the root's target, then row r's low and high at 2r + 1, 2r + 2
+    stack: list[tuple[Node, int, int]] = [(tree.root, 0, 0)]  # node, depth, its target's slot
     while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
+        node, depth, slot = stack.pop()
         if isinstance(node, Leaf):
-            labels[idx] = node.label
-            depths[idx] = depth
+            targets[slot] = ~len(leaves)
+            leaves.append(node)
+            depths.append(depth)
             continue
-        # partition idx down the in-level cut cascade
-        buckets = [(0, idx)]
-        for lvl in range(node.levels):
-            nxt = []
-            for prefix, ids in buckets:
-                dim, thr = node.splits[(1 << lvl) - 1 + prefix]
-                mask = X[ids, dim] < thr
-                nxt.append((prefix << 1, ids[mask]))
-                nxt.append(((prefix << 1) | 1, ids[~mask]))
-            buckets = nxt
-        for prefix, ids in buckets:
-            stack.append((node.children[prefix], ids, depth + 1))
-    return labels, depths
+        base = targets[slot] = len(dims)
+        width = len(node.children)
+        for h in range(width - 1):
+            dim, thr = node.splits[h]
+            dims.append(dim)
+            thresholds.append(thr)
+        targets.extend(range(base + 1, base + width - 1))  # row h leads to rows 2h+1, 2h+2
+        first = len(targets)  # the last level's targets are the children, in order
+        targets.extend([0] * width)
+        stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(width)))
+    flat = np.ascontiguousarray(X).ravel()
+    dim_of = np.array(dims, dtype=np.int64)
+    thr_of = np.array(thresholds, dtype=np.float64)
+    child = np.array(targets[1:], dtype=np.int64)
+    at = np.full(len(X), targets[0], dtype=np.int64)
+    live = np.flatnonzero(at >= 0)
+    while live.size:
+        row = at[live]
+        high = ~(flat[live * tree.d + dim_of[row]] < thr_of[row])  # equality routes high
+        at[live] = nxt = child[2 * row + high]
+        live = live[nxt >= 0]
+    return leaves, np.array(depths, dtype=np.int64), ~at
 
 
 def predict_batch(tree: PartitionTree, X: np.ndarray) -> np.ndarray:
-    return _apply_tree(tree, X)[0]
+    leaves, _, leaf_of = _leaf_routes(tree, X)
+    return np.array([leaf.label for leaf in leaves], dtype=np.int8)[leaf_of]
 
 
 def route_depths(tree: PartitionTree, X: np.ndarray) -> np.ndarray:
-    return _apply_tree(tree, X)[1]
+    depths, leaf_of = _leaf_routes(tree, X)[1:]
+    return depths[leaf_of]
 
 
 # ---------------------------------------------------------------------------

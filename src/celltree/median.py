@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, cascade_child, strict_rank  # noqa: F401
+from .core import DataView, Internal, Leaf, PartitionTree, _leaf_routes, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -174,15 +175,29 @@ def build_full_tree(view: DataView, k: int) -> FullTree:
     )
 
 
-def locate_leaf(tree: FullTree, x) -> int:
-    """Index of the leaf cell containing x. Requires a complete tree."""
+def _partition_tree(tree: FullTree) -> PartitionTree:
+    """A complete tree as a full-mode PartitionTree, assembled bottom-up as
+    ``run_cells`` assembles trees; its leaves, left to right, are in
+    canonical order."""
     if not tree.complete:
         raise ValueError("tree has structural empty cuts, cells are not routable")
+    built: list = [Leaf(*counts) for counts in tree.leaf_counts]
+    for splits in reversed(tree.levels):
+        below = iter(built)
+        built = [
+            Internal(level.split_records(), level.eaten, tuple(islice(below, 1 << tree.d)))
+            for level in splits
+        ]
+    return PartitionTree(root=built[0], d=tree.d, mode="full", config={})
+
+
+def locate_leaf(tree: FullTree, x) -> int:
+    """Index of the leaf cell containing x. Requires a complete tree and d
+    finite coordinates; anything else raises ValueError, as ``route`` does."""
     x = np.asarray(x, dtype=np.float64)
-    pos = 0
-    for level in tree.levels:
-        pos = (pos << tree.d) | cascade_child(level[pos].cuts, x)
-    return pos
+    if x.shape != (tree.d,):
+        raise ValueError(f"query must have shape ({tree.d},)")
+    return int(_leaf_routes(_partition_tree(tree), x[None])[2][0])
 
 
 def leaf_bounds(n: int, k: int, d: int) -> tuple[int, int]:

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, predict_batch, route_depths
+from .core import Dataset, PartitionTree, _leaf_routes, predict_batch, route_depths
 from .lookahead import LookaheadConfig, build_lookahead
-from .median import build_full_tree, locate_leaf
+from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
 from .runtime import derive_child_seed
 
@@ -164,19 +164,14 @@ def estimate_level_risk(
     for rep in range(reps):
         rep_seed = derive_child_seed(seed, rep)
         data = dist.sample(n, derive_child_seed(rep_seed, 0))
-        tree = build_full_tree(data.full_view(), k)
-        if not tree.complete:
-            raise ValueError("partition has empty cells, cannot locate leaves")
+        tree = _partition_tree(build_full_tree(data.full_view(), k))
         cells = 1 << (dist.d * k)
         rng = np.random.default_rng(derive_child_seed(rep_seed, 1))
         leaf_of = np.empty(0, dtype=np.int64)
         etas = np.empty(0, dtype=np.float64)
         for _ in range(_MAX_SAMPLE_ROUNDS):
             batch = dist.sample_x(_LEAF_SAMPLE_TARGET * cells, int(rng.integers(1 << 63)))
-            where = np.fromiter(
-                (locate_leaf(tree, x) for x in batch), dtype=np.int64, count=len(batch)
-            )
-            leaf_of = np.concatenate([leaf_of, where])
+            leaf_of = np.concatenate([leaf_of, _leaf_routes(tree, batch)[2]])
             etas = np.concatenate([etas, dist.eta(batch)])
             counts = np.bincount(leaf_of, minlength=cells)
             if counts[counts > 0].min(initial=_LEAF_SAMPLE_TARGET) >= _LEAF_SAMPLE_TARGET:

@@ -126,3 +126,32 @@ def test_locate_leaf_matches_view_membership_in_every_shape(d, k, rng):
     for leaf_pos, view in enumerate(tree.leaves):
         for i in view.indices:
             assert locate_leaf(tree, xs[i]) == leaf_pos
+
+
+def test_locate_leaf_rejects_bad_queries(rng):
+    xs = rng.random((200, 2))
+    tree = build_full_tree(Dataset(xs, np.zeros(200, dtype=np.int8)).full_view(), 2)
+    assert tree.complete
+    for bad in ([np.nan, np.nan], [0.5, np.inf], [0.1, 0.2, 0.3], [0.5], [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            locate_leaf(tree, bad)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_full_tree_conversion_matches_the_recursive_one(d, k, rng):
+    from celltree.median import _partition_tree
+
+    n = 4 * (1 << (d * k)) + 11
+    full = build_full_tree(Dataset(rng.random((n, d)), rng.integers(0, 2, n)).full_view(), k)
+    assert full.complete
+
+    def to_node(level_idx, pos):
+        if level_idx == full.k:
+            return Leaf(*full.leaf_counts[pos])
+        level = full.levels[level_idx][pos]
+        children = tuple(to_node(level_idx + 1, (pos << d) | j) for j in range(1 << d))
+        return Internal(level.split_records(), level.eaten, children)
+
+    want = PartitionTree(root=to_node(0, 0), d=d, mode="full", config={})
+    assert _partition_tree(full) == want
