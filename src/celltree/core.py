@@ -430,38 +430,41 @@ def tree_stats(tree: PartitionTree) -> TreeStats:
     return TreeStats(nodes, internals, leaves, max_depth, leaf_points, eaten, hist)
 
 
+def _check_node(node: Node, d: int, arity: int) -> None:
+    """The per-node rule of ``validate_tree`` and the writer, which the reader
+    also enforces: nonnegative leaf counts; ``arity`` children, one cut fewer
+    and one eaten pivot per cut; cut dimensions in 0..d-1, finite thresholds."""
+    if isinstance(node, Leaf):
+        if node.count0 < 0 or node.count1 < 0:
+            raise TreeSchemaError("negative leaf count")
+        return
+    if len(node.children) != arity:
+        raise TreeSchemaError(f"internal node has {len(node.children)} children, expected {arity}")
+    if len(node.splits) != arity - 1:
+        raise TreeSchemaError(f"internal node has {len(node.splits)} cuts, expected {arity - 1}")
+    if len(node.eaten) != len(node.splits):
+        raise TreeSchemaError("eaten pivot count must equal cut count")
+    for dim, thr in node.splits:
+        if not 0 <= dim < d:
+            raise TreeSchemaError(f"cut dimension {dim!r} out of range 0..{d - 1}")
+        if not math.isfinite(thr):
+            raise TreeSchemaError("cut threshold must be finite")
+
+
 def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
     """Check structural invariants; returns stats on success.
 
-    Verifies per-node arity for the tree's mode, one eaten pivot per cut,
-    nonnegative leaf counts, and, when the training size ``n`` is known
-    (argument or ``config["n"]``), conservation: every training point is
-    counted in exactly one leaf or eaten as a pivot.
+    Checks every node by the per-node rule of ``_check_node`` and, when the
+    training size ``n`` is known (argument or ``config["n"]``), conservation:
+    every training point is counted in exactly one leaf or eaten as a pivot.
     """
     arity = _node_arity(tree)
     stack: list[Node] = [tree.root]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            if node.count0 < 0 or node.count1 < 0:
-                raise TreeSchemaError("negative leaf count")
-            continue
-        if len(node.children) != arity:
-            raise TreeSchemaError(
-                f"internal node has {len(node.children)} children, expected {arity}"
-            )
-        if len(node.splits) != arity - 1:
-            raise TreeSchemaError(
-                f"internal node has {len(node.splits)} cuts, expected {arity - 1}"
-            )
-        if len(node.eaten) != len(node.splits):
-            raise TreeSchemaError("eaten pivot count must equal cut count")
-        for dim, thr in node.splits:
-            if not 0 <= dim < tree.d:
-                raise TreeSchemaError(f"cut dimension {dim} out of range")
-            if not math.isfinite(thr):
-                raise TreeSchemaError("cut threshold must be finite")
-        stack.extend(node.children)
+        _check_node(node, tree.d, arity)
+        if isinstance(node, Internal):
+            stack.extend(node.children)
     stats = tree_stats(tree)
     if n is None and _is_int(tree.config.get("n")):
         n = tree.config["n"]
@@ -489,16 +492,14 @@ def _check_config(config) -> None:
         raise TreeSchemaError("config values must be finite")
 
 
-def _node_doc(node: Node, d: int) -> dict:
+def _node_doc(node: Node, d: int, arity: int) -> dict:
+    _check_node(node, d, arity)
     if isinstance(node, Leaf):
         return {"count0": node.count0, "count1": node.count1}
-    for dim, _ in node.splits:
-        if not 0 <= dim < d:
-            raise TreeSchemaError(f"cut dimension {dim!r} out of range 0..{d - 1}")
     return {
-        "splits": [[dim + 1, float(thr)] for dim, thr in node.splits],
+        "splits": [(dim + 1, float(thr)) for dim, thr in node.splits],
         "eaten": len(node.eaten),
-        "children": [_node_doc(c, d) for c in node.children],
+        "children": [_node_doc(c, d, arity) for c in node.children],
     }
 
 
@@ -508,20 +509,16 @@ def serialize_tree(tree: PartitionTree) -> str:
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
     1-based on the wire. A tree that ``deserialize_tree`` would refuse (a
-    cut dimension outside 0..d-1, a non-finite threshold, or nesting deeper
+    node that breaks ``validate_tree``'s per-node rule, or nesting deeper
     than the writer's recursion allows) raises TreeSchemaError.
     """
     _check_config(tree.config)
     doc = {"mode": tree.mode, "d": tree.d, "config": dict(tree.config)}
     try:
-        doc["root"] = _node_doc(tree.root, tree.d)
+        doc["root"] = _node_doc(tree.root, tree.d, _node_arity(tree))
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except RecursionError:
         raise TreeSchemaError("tree nested too deeply to serialize") from None
-    except TreeSchemaError:
-        raise
-    except ValueError:  # the config is finite, so allow_nan=False met a threshold
-        raise TreeSchemaError("cut threshold must be finite") from None
 
 
 def _is_int(value) -> bool:

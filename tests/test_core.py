@@ -404,6 +404,28 @@ def test_serialize_rejects_a_non_finite_threshold(thr):
         serialize_tree(tree)
 
 
+_TWO_LEAVES = (Leaf(1, 0), Leaf(0, 1))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Internal(((0, 0.5),), (-1,), (*_TWO_LEAVES, Leaf(1, 1))), "3 children, expected 2"),
+        (Internal(((0, 0.5), (0, 0.7)), (-1, -1), _TWO_LEAVES), "2 cuts, expected 1"),
+        (Internal(((0, 0.5),), (-1, -1), _TWO_LEAVES), "eaten pivot count must equal cut count"),
+        (Leaf(-1, 0), "negative leaf count"),
+    ],
+    ids=["three-children", "two-cuts", "two-eaten", "negative-count"],
+)
+def test_serialize_refuses_a_node_the_reader_refuses(bad, message):
+    tree = PartitionTree(Internal(((0, 0.25),), (-1,), (bad, Leaf(2, 0))), d=1,
+                         mode="binary", config={})
+    with pytest.raises(TreeSchemaError, match=message):
+        validate_tree(tree)
+    with pytest.raises(TreeSchemaError, match=message):
+        serialize_tree(tree)
+
+
 def test_full_mode_arity_enforced_on_parse():
     doc = {
         "mode": "full",
