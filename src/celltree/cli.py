@@ -315,10 +315,7 @@ def main(argv=None) -> int:
     except AdmissibilityError as exc:
         print(f"error: inadmissible parameters: {exc}", file=sys.stderr)
         return 3
-    except (DatasetFormatError, TreeSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (DatasetFormatError, TreeSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -329,19 +329,16 @@ def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
 
 
 def classify(tree: PartitionTree, x: Sequence[float]) -> int:
-    leaf, _ = route(tree, x)
-    return leaf.label
+    return route(tree, x)[0].label
 
 
 def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
-    """Batch routing: the tree's leaves left to right, their depths, and each
-    query row's leaf index (both int64).
+    """Batch routing: the leaves left to right, their depths, and each query
+    row's leaf index (int64). Raises ValueError where ``route`` does.
 
-    One pass over the nodes writes a flat binary cut table: a node's 2^L - 1
-    heap-ordered cuts become rows of their own, each with a dim, a threshold
-    and a low and a high target, where a target t < 0 is leaf ~t. All rows
-    then descend the table together, one gather per cut. Raises ValueError
-    on a bad shape or a non-finite coordinate, as ``route`` does.
+    One pass writes a flat binary cut table, each node's 2^L - 1 heap-ordered
+    cuts as rows of their own with a low and a high target; a target t < 0 is
+    leaf ~t. All rows then descend the table together, one gather per cut.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.d:
@@ -350,8 +347,7 @@ def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.nda
         raise ValueError("query coordinates must be finite")
     leaves: list[Leaf] = []
     depths: list[int] = []
-    dims: list[int] = []
-    thresholds: list[float] = []
+    cuts: list[tuple[int, float]] = []
     targets = [0]  # the root's target, then row r's low and high at 2r + 1, 2r + 2
     stack: list[tuple[Node, int, int]] = [(tree.root, 0, 0)]  # node, depth, its target's slot
     while stack:
@@ -361,20 +357,17 @@ def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.nda
             leaves.append(node)
             depths.append(depth)
             continue
-        base = targets[slot] = len(dims)
-        width = len(node.children)
-        for h in range(width - 1):
-            dim, thr = node.splits[h]
-            dims.append(dim)
-            thresholds.append(thr)
+        base = targets[slot] = len(cuts)
+        cuts += node.splits
+        width = len(node.splits) + 1
         targets.extend(range(base + 1, base + width - 1))  # row h leads to rows 2h+1, 2h+2
         first = len(targets)  # the last level's targets are the children, in order
         targets.extend([0] * width)
         stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(width)))
-    flat = np.ascontiguousarray(X).ravel()
-    dim_of = np.array(dims, dtype=np.int64)
-    thr_of = np.array(thresholds, dtype=np.float64)
+    table = np.array(cuts, dtype=np.float64).reshape(-1, 2)
+    dim_of, thr_of = table[:, 0].astype(np.int64), table[:, 1].copy()
     child = np.array(targets[1:], dtype=np.int64)
+    flat = X.ravel()
     at = np.full(len(X), targets[0], dtype=np.int64)
     live = np.flatnonzero(at >= 0)
     while live.size:

@@ -119,8 +119,7 @@ def lookahead_decision(config: LookaheadConfig) -> DecisionFn:
 
     def decide(view, seed: int):
         if decide_stop_lookahead(view, config):
-            c0, c1 = view.label_counts()
-            return Leaf(c0, c1)
+            return Leaf(*view.label_counts())
         level = full_level_split(view)
         # a cell large enough to split has every cascade cut on a nonempty
         # view, so the full split record always exists

@@ -176,11 +176,9 @@ def build_full_tree(view: DataView, k: int) -> FullTree:
 
 
 def _partition_tree(tree: FullTree) -> PartitionTree:
-    """A complete tree as a full-mode PartitionTree, assembled bottom-up as
-    ``run_cells`` assembles trees; its leaves, left to right, are in
-    canonical order."""
-    if not tree.complete:
-        raise ValueError("tree has structural empty cuts, cells are not routable")
+    """A complete tree as a full-mode PartitionTree, assembled bottom-up as in
+    ``run_cells``, so its leaves, left to right, are in canonical order. An
+    incomplete tree raises ValueError from ``LevelSplit.split_records``."""
     built: list = [Leaf(*counts) for counts in tree.leaf_counts]
     for splits in reversed(tree.levels):
         below = iter(built)
@@ -194,10 +192,8 @@ def _partition_tree(tree: FullTree) -> PartitionTree:
 def locate_leaf(tree: FullTree, x) -> int:
     """Index of the leaf cell containing x. Requires a complete tree and d
     finite coordinates; anything else raises ValueError, as ``route`` does."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (tree.d,):
-        raise ValueError(f"query must have shape ({tree.d},)")
-    return int(_leaf_routes(_partition_tree(tree), x[None])[2][0])
+    x = np.asarray(x, dtype=np.float64)[None]  # one row, whose shape _leaf_routes checks
+    return int(_leaf_routes(_partition_tree(tree), x)[2][0])
 
 
 def leaf_bounds(n: int, k: int, d: int) -> tuple[int, int]:

@@ -74,8 +74,7 @@ def randomized_decision(beta: float) -> DecisionFn:
         u = rng.uniform()
         n = view.n
         if n <= 1 or decide_stop(n, u, beta):
-            c0, c1 = view.label_counts()
-            return Leaf(c0, c1)
+            return Leaf(*view.label_counts())
         dim = choose_dimension(view.dataset.d, rng)
         cut = median_split(view, dim)
         return SplitDecision(

@@ -158,14 +158,14 @@ def estimate_level_risk(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if n < 1 << (dist.d * k):
-        raise ValueError(f"need n >= 2^(d*k) = {1 << (dist.d * k)} points, got {n}")
+    cells = 1 << (dist.d * k)
+    if n < cells:
+        raise ValueError(f"need n >= 2^(d*k) = {cells} points, got {n}")
     per_rep: list[float] = []
     for rep in range(reps):
         rep_seed = derive_child_seed(seed, rep)
         data = dist.sample(n, derive_child_seed(rep_seed, 0))
         tree = _partition_tree(build_full_tree(data.full_view(), k))
-        cells = 1 << (dist.d * k)
         rng = np.random.default_rng(derive_child_seed(rep_seed, 1))
         leaf_of = np.empty(0, dtype=np.int64)
         etas = np.empty(0, dtype=np.float64)
@@ -176,15 +176,10 @@ def estimate_level_risk(
             counts = np.bincount(leaf_of, minlength=cells)
             if counts[counts > 0].min(initial=_LEAF_SAMPLE_TARGET) >= _LEAF_SAMPLE_TARGET:
                 break
-        total_draws = len(leaf_of)
         value = 0.0
-        for cell in range(cells):
-            mask = leaf_of == cell
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            eta_bar = float(etas[mask].mean())
-            value += (cnt / total_draws) * min(eta_bar, 1.0 - eta_bar)
+        for cell in np.flatnonzero(counts):
+            eta_bar = float(etas[leaf_of == cell].mean())
+            value += (int(counts[cell]) / len(leaf_of)) * min(eta_bar, 1.0 - eta_bar)
         per_rep.append(value)
     mean = float(np.mean(per_rep))
     if reps == 1:
