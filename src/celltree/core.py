@@ -338,7 +338,7 @@ def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.nda
 
     One pass writes a flat binary cut table, each node's 2^L - 1 heap-ordered
     cuts as rows of their own with a low and a high target; a target t < 0 is
-    leaf ~t. All rows then descend the table together, one gather per cut.
+    leaf ~t. All rows then descend the table together, one gather per step.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.d:
@@ -509,7 +509,9 @@ def serialize_tree(tree: PartitionTree) -> str:
     doc = {"mode": tree.mode, "d": tree.d, "config": dict(tree.config)}
     try:
         doc["root"] = _node_doc(tree.root, tree.d, _node_arity(tree))
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        # built fresh from the nodes, the document has no cycle for json to look for
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          check_circular=False) + "\n"
     except RecursionError:
         raise TreeSchemaError("tree nested too deeply to serialize") from None
 
