@@ -365,7 +365,7 @@ def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.nda
         targets.extend([0] * width)
         stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(width)))
     table = np.array(cuts, dtype=np.float64).reshape(-1, 2)
-    dim_of, thr_of = table[:, 0].astype(np.int64), table[:, 1].copy()
+    dim_of, thr_of = table[:, 0].astype(np.int64), table[:, 1]
     child = np.array(targets[1:], dtype=np.int64)
     flat = X.ravel()
     at = np.full(len(X), targets[0], dtype=np.int64)
