@@ -425,11 +425,11 @@ def tree_stats(tree: PartitionTree) -> TreeStats:
 
 def _check_node(node: Node, d: int, arity: int) -> None:
     """The per-node rule of ``validate_tree`` and the writer, which the reader
-    also enforces: nonnegative leaf counts; ``arity`` children, one cut fewer
+    also enforces: nonnegative integer leaf counts; ``arity`` children, one cut fewer
     and one eaten pivot per cut; cut dimensions in 0..d-1, finite thresholds."""
     if isinstance(node, Leaf):
-        if node.count0 < 0 or node.count1 < 0:
-            raise TreeSchemaError("negative leaf count")
+        if not (_is_int(node.count0) and _is_int(node.count1)) or min(node.count0, node.count1) < 0:
+            raise TreeSchemaError("leaf counts must be nonnegative integers")
         return
     if len(node.children) != arity:
         raise TreeSchemaError(f"internal node has {len(node.children)} children, expected {arity}")

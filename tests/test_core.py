@@ -413,9 +413,13 @@ _TWO_LEAVES = (Leaf(1, 0), Leaf(0, 1))
         (Internal(((0, 0.5),), (-1,), (*_TWO_LEAVES, Leaf(1, 1))), "3 children, expected 2"),
         (Internal(((0, 0.5), (0, 0.7)), (-1, -1), _TWO_LEAVES), "2 cuts, expected 1"),
         (Internal(((0, 0.5),), (-1, -1), _TWO_LEAVES), "eaten pivot count must equal cut count"),
-        (Leaf(-1, 0), "negative leaf count"),
+        (Leaf(-1, 0), "leaf counts must be nonnegative integers"),
+        (Leaf(True, 0), "leaf counts must be nonnegative integers"),
+        (Leaf(1.5, 0), "leaf counts must be nonnegative integers"),
+        (Leaf(np.int64(3), 0), "leaf counts must be nonnegative integers"),
     ],
-    ids=["three-children", "two-cuts", "two-eaten", "negative-count"],
+    ids=["three-children", "two-cuts", "two-eaten", "negative-count", "boolean-count",
+         "float-count", "numpy-count"],
 )
 def test_serialize_refuses_a_node_the_reader_refuses(bad, message):
     tree = PartitionTree(Internal(((0, 0.25),), (-1,), (bad, Leaf(2, 0))), d=1,
