@@ -242,3 +242,45 @@ def test_ensemble_members_differ(rng):
     data = make_dataset(rng, 600, 2, dup_prob=0.0)
     members = build_ensemble(data, RandomizedConfig(beta=0.4, seed=2), t=5)
     assert len({serialize_tree(t) for t in members}) > 1
+
+
+# ---------------------------------------------------------------------------
+# the untraced build against the traced one, which decides every cell alone
+
+EDGE_SEEDS = (-1, 0, 2**63, 2**64 - 1, 2**64 + 3)
+
+
+def _differential_data(n: int, d: int, grid: bool, data_seed: int) -> Dataset:
+    rng = np.random.default_rng(data_seed)
+    xs = rng.random((n, d))
+    if grid:
+        xs = np.floor(xs * 4) / 4  # four levels per axis: ties are the common case
+    return Dataset(xs, (rng.random(n) < 0.4).astype(np.int8))
+
+
+def _assert_untraced_matches_traced(data: Dataset, config: RandomizedConfig, workers: int):
+    untraced = serialize_tree(build_randomized(data, config, workers=workers))
+    traced = serialize_tree(build_randomized(data, config, trace=BuildTrace()))
+    assert untraced == traced
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    grid=st.booleans(),
+    n=st.one_of(st.integers(0, 600), st.integers(600, 5_000)),
+    beta=st.floats(0.05, 0.99),
+    seed=st.sampled_from(EDGE_SEEDS),
+    workers=st.sampled_from((1, 2)),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_untraced_build_matches_traced_build(d, grid, n, beta, seed, workers, data_seed):
+    data = _differential_data(n, d, grid, data_seed)
+    _assert_untraced_matches_traced(data, RandomizedConfig(beta=beta, seed=seed), workers)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_untraced_build_matches_traced_build_from_a_small_root(workers):
+    # 300 points: the whole build is small cells from the root on
+    data = _differential_data(300, 2, True, 300)
+    _assert_untraced_matches_traced(data, RandomizedConfig(beta=0.5, seed=-1), workers)
