@@ -174,6 +174,7 @@ def run_cells(
     workers: int = 1,
     trace: BuildTrace | None = None,
     shuffle_seed: int | None = None,
+    _handover: Callable[[list[CellTask]], list[list] | None] | None = None,
 ) -> Node:
     """Execute a cell tree to completion and assemble the node tree.
 
@@ -185,9 +186,16 @@ def run_cells(
     independent of completion order. ``shuffle_seed`` randomizes dispatch
     order inside each frontier (used by tests to demonstrate schedule
     independence); the assembled tree does not change.
+
+    ``_handover`` lets a builder finish the build its own way: it is offered
+    each frontier before that frontier is decided, and returns None to leave
+    it to ``decide``, or the records (kept as below) of that generation and
+    of every generation under it, which end the build. A traced build never
+    calls it, so every cell keeps its trace record.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    handover = _handover if trace is None else None
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
     def run_slice(tasks: list[CellTask], positions: list[int], results: list) -> None:
@@ -207,6 +215,10 @@ def run_cells(
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         while frontier:
+            rest = handover(frontier) if handover is not None else None
+            if rest is not None:
+                generations.extend(rest)
+                break
             order = list(range(len(frontier)))
             if shuffler is not None:
                 shuffler.shuffle(order)

@@ -18,6 +18,7 @@ from celltree import (
     build_ensemble,
     build_randomized,
     choose_dimension,
+    derive_child_seed,
     classify,
     decide_stop,
     ensemble_classify,
@@ -284,3 +285,39 @@ def test_untraced_build_matches_traced_build_from_a_small_root(workers):
     # 300 points: the whole build is small cells from the root on
     data = _differential_data(300, 2, True, 300)
     _assert_untraced_matches_traced(data, RandomizedConfig(beta=0.5, seed=-1), workers)
+
+
+# ---------------------------------------------------------------------------
+# the segmented kernel against the per-cell path it replaces
+
+DRAW_SEEDS = (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15 - 1)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 255))
+def test_vectorized_draws_match_cell_rng(d):
+    from celltree.randomized import _cell_draws, _child_seeds
+
+    seeds = np.array(DRAW_SEEDS, dtype=np.uint64)
+    u, dims = _cell_draws(seeds, d)
+    for seed, got_u, got_dim in zip(DRAW_SEEDS, u.tolist(), dims.tolist()):
+        rng = CellRng(seed)
+        assert got_u == rng.uniform()
+        assert got_dim == rng.randint(d)
+    for j in (0, 1):
+        assert _child_seeds(seeds, j).tolist() == [derive_child_seed(s, j) for s in DRAW_SEEDS]
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("seed", (-1, 0, 2**63))
+def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
+    from celltree.randomized import _segmented_generations
+
+    beta = 0.99
+    data = _differential_data(3_000, d, True, 40 + d)
+    root = CellTask(view=data.full_view(), seed=seed)
+    decide = randomized_decision(beta)
+    reference = run_cells(root, decide)
+    kernel = run_cells(root, decide, _handover=lambda frontier: _segmented_generations(frontier, beta))
+    assert tree_stats(PartitionTree(reference, d, "binary", {})).internals > 50
+    # repr tells a numpy integer or float from the Python one the writer needs
+    assert repr(kernel) == repr(reference)
