@@ -98,8 +98,8 @@ def randomized_decision(beta: float) -> DecisionFn:
 # a frontier whose cells average at most this many points goes to the
 # segmented kernel; above it the per-cell path is faster
 _SEGMENTED_MEAN_POINTS = 512
-
-_U32 = np.uint64(0xFFFFFFFF)
+# cells ordered per sort when the kernel takes over
+_ORDER_BATCH = 128
 
 
 def _splitmix64s(x: np.ndarray) -> np.ndarray:
@@ -118,9 +118,9 @@ def _cell_draws(seeds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     second = _splitmix64s(seeds + np.uint64(_GOLDEN))
     u = (first >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
     # the high word of second * d, from its 32-bit halves: exact for d < 2^32
-    k = np.uint64(d)
-    high = (second >> np.uint64(32)) * k + (((second & _U32) * k) >> np.uint64(32))
-    return u, (high >> np.uint64(32)).astype(np.int64)
+    k, half = np.uint64(d), np.uint64(32)
+    high, low = second >> half, second & np.uint64(0xFFFFFFFF)
+    return u, ((high * k + ((low * k) >> half)) >> half).astype(np.int64)
 
 
 def _child_seeds(seeds: np.ndarray, j: int) -> np.ndarray:
@@ -202,19 +202,26 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
 def _cell_ordered_rows(frontier: list[CellTask]) -> np.ndarray:
     """(d, live points) array: row j lists the frontier's points cell by
     cell, each cell's points ascending in ``ranks[j]``. int32 when the
-    dataset's indices fit."""
+    dataset's indices fit. Sorts _ORDER_BATCH cells at a time, which keeps
+    the int64 sort keys small."""
     dataset = frontier[0].view.dataset
-    index = np.int32 if dataset.n < 2**31 else np.int64
-    sizes = [task.view.n for task in frontier]
-    points = np.concatenate([task.view.indices for task in frontier], dtype=index)
-    # cell c's keys all lie above cell c-1's; within a cell they follow rank
-    cell_base = np.repeat(np.arange(len(sizes), dtype=np.int64) * dataset.n, sizes)
-    rows = np.empty((dataset.d, points.size), dtype=index)
-    for j in range(dataset.d):
-        key = dataset.ranks[j][points]
-        key += cell_base
-        rows[j] = points[np.argsort(key)]
-        del key
+    n, ranks = dataset.n, dataset.ranks
+    rows = np.empty(
+        (dataset.d, sum(task.view.n for task in frontier)),
+        dtype=np.int32 if n < 2**31 else np.int64,
+    )
+    at = 0
+    for first in range(0, len(frontier), _ORDER_BATCH):
+        batch = frontier[first : first + _ORDER_BATCH]
+        points = np.concatenate([task.view.indices for task in batch])
+        sizes = [task.view.n for task in batch]
+        # each cell's keys lie above the previous cell's; within a cell they follow rank
+        base = np.repeat(np.arange(len(batch), dtype=np.int64) * n, sizes)
+        for j in range(dataset.d):
+            key = ranks[j][points]
+            key += base
+            rows[j, at : at + points.size] = points[np.argsort(key)]
+        at += points.size
     return rows
 
 

@@ -10,6 +10,7 @@ from celltree import (
     CellRng,
     CellTask,
     Dataset,
+    DataView,
     Internal,
     Leaf,
     PartitionTree,
@@ -321,3 +322,17 @@ def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
     assert tree_stats(PartitionTree(reference, d, "binary", {})).internals > 50
     # repr tells a numpy integer or float from the Python one the writer needs
     assert repr(kernel) == repr(reference)
+
+
+@pytest.mark.parametrize("batch", (1, 3, 128))
+def test_kernel_lists_each_cells_points_by_rank_in_every_dimension(monkeypatch, batch):
+    from celltree import randomized
+
+    monkeypatch.setattr(randomized, "_ORDER_BATCH", batch)
+    data = _differential_data(2_000, 3, True, 9)
+    rng = np.random.default_rng(9)
+    cuts = np.sort(rng.choice(np.arange(1, 2_000), 40, replace=False))
+    cells = [np.sort(c) for c in np.split(rng.permutation(2_000), cuts)]
+    frontier = [CellTask(view=DataView(data, c), seed=0) for c in cells]
+    expected = np.concatenate([c[np.argsort(data.ranks[:, c], axis=1)] for c in cells], axis=1)
+    assert np.array_equal(randomized._cell_ordered_rows(frontier), expected)
