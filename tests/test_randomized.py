@@ -19,9 +19,9 @@ from celltree import (
     build_ensemble,
     build_randomized,
     choose_dimension,
-    derive_child_seed,
     classify,
     decide_stop,
+    derive_child_seed,
     ensemble_classify,
     phi,
     randomized_decision,
