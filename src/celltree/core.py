@@ -20,6 +20,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -276,6 +277,21 @@ class Internal:
 
 
 Node = Union[Leaf, Internal]
+
+
+def _assemble(generations: list[list]) -> list[Node]:
+    """The first generation's nodes, built bottom-up without recursion from
+    one list of cells per generation in frontier order. A cell is a finished
+    ``Leaf``, or a split's (splits, eaten, arity), whose children are the
+    next ``arity`` nodes built for the generation below."""
+    built: list[Node] = []
+    for cells in reversed(generations):
+        below = iter(built)
+        built = [
+            c if isinstance(c, Leaf) else Internal(c[0], c[1], tuple(islice(below, c[2])))
+            for c in cells
+        ]
+    return built
 
 
 @dataclass(frozen=True)

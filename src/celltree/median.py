@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, Internal, Leaf, PartitionTree, _leaf_routes, strict_rank  # noqa: F401
+from .core import DataView, Leaf, PartitionTree, _assemble, _leaf_routes, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -176,17 +175,16 @@ def build_full_tree(view: DataView, k: int) -> FullTree:
 
 
 def _partition_tree(tree: FullTree) -> PartitionTree:
-    """A complete tree as a full-mode PartitionTree, assembled bottom-up as in
-    ``run_cells``, so its leaves, left to right, are in canonical order. An
-    incomplete tree raises ValueError from ``LevelSplit.split_records``."""
-    built: list = [Leaf(*counts) for counts in tree.leaf_counts]
-    for splits in reversed(tree.levels):
-        below = iter(built)
-        built = [
-            Internal(level.split_records(), level.eaten, tuple(islice(below, 1 << tree.d)))
-            for level in splits
-        ]
-    return PartitionTree(root=built[0], d=tree.d, mode="full", config={})
+    """A complete tree as a full-mode PartitionTree, assembled bottom-up by
+    ``run_cells``' assembler, so its leaves, left to right, are in canonical
+    order. An incomplete tree raises ValueError from
+    ``LevelSplit.split_records``."""
+    arity = 1 << tree.d
+    generations: list[list] = [
+        [(level.split_records(), level.eaten, arity) for level in splits] for splits in tree.levels
+    ]
+    generations.append([Leaf(*counts) for counts in tree.leaf_counts])
+    return PartitionTree(root=_assemble(generations)[0], d=tree.d, mode="full", config={})
 
 
 def locate_leaf(tree: FullTree, x) -> int:

@@ -21,12 +21,11 @@ import random
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Union
 
 import numpy as np
 
-from .core import DataView, Internal, Leaf, Node
+from .core import DataView, Leaf, Node, _assemble
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -59,11 +58,9 @@ class CellRng:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
+        z = splitmix64(self._state)
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def uniform(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -190,8 +187,10 @@ def run_cells(
     ``_handover`` lets a builder finish the build its own way: it is offered
     each frontier before that frontier is decided, and returns None to leave
     it to ``decide``, or the records (kept as below) of that generation and
-    of every generation under it, which end the build. A traced build never
-    calls it, so every cell keeps its trace record.
+    of every generation under it, which end the build. It may clear the
+    frontier list once it has read the tasks, which frees their views while
+    it runs. A traced build never calls it, so every cell keeps its trace
+    record.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -260,21 +259,15 @@ def run_cells(
                             parent_id=task.cell_id,
                         )
                     )
+            # the decisions hold the next frontier's views too: drop them, so
+            # that a handover which clears the frontier frees those views
+            del results
             generations.append(cells)
             frontier = nxt
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    # bottom-up: each split takes its children, in order, from the nodes
-    # built for the generation below
-    built: list[Node] = []
-    for cells in reversed(generations):
-        below = iter(built)
-        built = [
-            c if isinstance(c, Leaf) else Internal(c[0], c[1], tuple(islice(below, c[2])))
-            for c in cells
-        ]
-    return built[0]
+    return _assemble(generations)[0]
 
 
 @dataclass(frozen=True)
