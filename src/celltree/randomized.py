@@ -98,8 +98,6 @@ def randomized_decision(beta: float) -> DecisionFn:
 # a frontier whose cells average at most this many points goes to the
 # segmented kernel; above it the per-cell path is faster
 _SEGMENTED_MEAN_POINTS = 512
-# cells ordered per sort when the kernel takes over
-_ORDER_BATCH = 128
 
 
 def _splitmix64s(x: np.ndarray) -> np.ndarray:
@@ -133,38 +131,44 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
     numpy passes, and return ``run_cells``' records of them: per cell in
     frontier order a ``Leaf``, or ``(((dim, threshold),), (pivot,), 2)``.
 
-    Row j of ``order`` holds the live points grouped by cell in frontier
-    order and ascending in ``ranks[j]`` within each cell: the attribute
-    lists of SLIQ and SPRINT. A cell's median in dimension j is then the
-    point at its start + r - 1, and the points before it form the low
-    child. Each row is stably partitioned into the children, which keeps
-    it so without a sort. Draws and stop rule are ``randomized_decision``'s,
-    so every record is the one it would give cell by cell.
+    ``points`` holds the live points grouped by cell in frontier order.
+    Each generation sorts the splitting cells' points by (cell, rank in the
+    cell's cut dimension), so a cell's median is the point at its start +
+    (m - 1) // 2, and removing the pivots leaves each cell's low child and
+    then its high child as contiguous runs, in frontier order. Draws and
+    stop rule are ``randomized_decision``'s, so every record is the one it
+    would give cell by cell. Clears ``frontier`` once its points are copied.
     """
     dataset = frontier[0].view.dataset
-    d, xs, ys = dataset.d, dataset.xs, dataset.ys
+    n, d, xs, ys, ranks = dataset.n, dataset.d, dataset.xs, dataset.ys, dataset.ranks
     sizes = np.array([task.view.n for task in frontier], dtype=np.int64)
     seeds = np.array([task.seed & _MASK64 for task in frontier], dtype=np.uint64)
-    order = _cell_ordered_rows(frontier)
-    index = order.dtype
-    # each live point's side of its cell's cut, rewritten every generation
-    side = np.zeros(dataset.n, dtype=np.int8)
+    points = np.concatenate(
+        [task.view.indices for task in frontier],
+        dtype=np.int32 if n < 2**31 else np.int64,
+        casting="same_kind",
+    )
+    frontier.clear()
     generations: list[list] = []
     while sizes.size:
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
         u, dims = _cell_draws(seeds, d)
         # phi on math, once per size: numpy's log can differ in the last bit
         distinct, which = np.unique(sizes, return_inverse=True)
         stop = u <= np.array([phi(m, beta) for m in distinct.tolist()])[which]
-        ones = np.concatenate(([0], np.cumsum(ys[order[0]], dtype=index)))
-        ones = ones[ends] - ones[starts]
+        ones = np.concatenate(([0], np.cumsum(ys[points], dtype=np.int64)))
+        ends = np.cumsum(sizes)
+        ones = ones[ends] - ones[ends - sizes]
         split = np.flatnonzero(~stop)
-        cut = dims[split]
-        low = (sizes[split] - 1) // 2
-        high = sizes[split] - 1 - low
-        pivot_at = starts[split] + low
-        pivots = order[cut, pivot_at]
+        cut, kept = dims[split], sizes[split]
+        points = points[np.repeat(~stop, sizes)]
+        # distinct keys, since ranks[j] is a permutation of 0..n-1
+        key = np.repeat(np.arange(split.size, dtype=np.int64) * n, kept)
+        key += ranks[np.repeat(cut, kept), points]
+        points = points[np.argsort(key)]
+        del key
+        low = (kept - 1) // 2
+        pivot_at = np.cumsum(kept) - kept + low
+        pivots = points[pivot_at]
         records = iter([
             (((dim, thr),), (pivot,), 2)
             for dim, thr, pivot in zip(cut.tolist(), xs[pivots, cut].tolist(), pivots.tolist())
@@ -173,95 +177,11 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
             Leaf(m - c1, c1) if stopped else next(records)
             for stopped, m, c1 in zip(stop.tolist(), sizes.tolist(), ones.tolist())
         ])
-        if not split.size:
-            break
-        cells = sizes.size
-        cell_of = np.repeat(np.arange(cells, dtype=index), sizes)
-        _mark_sides(side, order, cell_of, cells, split, pivot_at, cut)
-        # Children keep their parents' order, low child first: cell c's low
-        # child starts after the lows and highs of the cells before c, its
-        # high child after c's lows too. So a row's k-th low element (k
-        # counted from 1 over the whole row) goes to the highs before c plus
-        # k - 1, and its k-th high to the lows up to and including c plus k - 1.
-        lows = np.zeros(cells, dtype=index)
-        lows[split] = low
-        highs = np.zeros(cells, dtype=index)
-        highs[split] = high
-        low_base = np.cumsum(highs, dtype=index) - highs - 1
-        high_base = np.cumsum(lows, dtype=index) - 1
-        order = _partition_rows(
-            order, side, cell_of, low_base, high_base, int(lows.sum() + highs.sum())
-        )
-        del cell_of
-        sizes = np.column_stack((low, high)).ravel()
+        points = np.delete(points, pivot_at)
+        sizes = np.column_stack((low, kept - 1 - low)).ravel()
         parents = seeds[split]
         seeds = np.column_stack((_child_seeds(parents, 0), _child_seeds(parents, 1))).ravel()
     return generations
-
-
-def _cell_ordered_rows(frontier: list[CellTask]) -> np.ndarray:
-    """(d, live points) array: row j lists the frontier's points cell by
-    cell, each cell's points ascending in ``ranks[j]``. int32 when the
-    dataset's indices fit. Sorts _ORDER_BATCH cells at a time, which keeps
-    the int64 sort keys small."""
-    dataset = frontier[0].view.dataset
-    n, ranks = dataset.n, dataset.ranks
-    rows = np.empty(
-        (dataset.d, sum(task.view.n for task in frontier)),
-        dtype=np.int32 if n < 2**31 else np.int64,
-    )
-    at = 0
-    for first in range(0, len(frontier), _ORDER_BATCH):
-        batch = frontier[first : first + _ORDER_BATCH]
-        points = np.concatenate([task.view.indices for task in batch])
-        sizes = [task.view.n for task in batch]
-        # each cell's keys lie above the previous cell's; within a cell they follow rank
-        base = np.repeat(np.arange(len(batch), dtype=np.int64) * n, sizes)
-        for j in range(dataset.d):
-            key = ranks[j][points]
-            key += base
-            rows[j, at : at + points.size] = points[np.argsort(key)]
-        at += points.size
-    return rows
-
-
-def _mark_sides(side, order, cell_of, cells: int, split, pivot_at, cut) -> None:
-    """Write each live point's side of its cell's cut into ``side``: 1 below
-    the pivot, 2 above it, 0 for the pivot and for a stopping cell's points.
-    A cell's points are read in its cut's row of ``order``, row 0 if it stops."""
-    at = np.full(cells, -1, dtype=order.dtype)
-    at[split] = pivot_at
-    row_of = np.zeros(cells, dtype=order.dtype)
-    row_of[split] = cut
-    element = np.arange(order.shape[1], dtype=order.dtype)
-    element_at = at[cell_of]
-    element_side = np.where(element < element_at, np.int8(1), np.int8(2))
-    element_side[(element == element_at) | (element_at < 0)] = 0
-    del element, element_at
-    element_row = row_of[cell_of]
-    for j, row in enumerate(order):
-        mine = element_row == j
-        side[row[mine]] = element_side[mine]
-
-
-def _partition_rows(order, side, cell_of, low_base, high_base, size: int) -> np.ndarray:
-    """Stably partition every row of ``order`` into the children by
-    ``side``: an element goes to its cell's base for its side plus the number
-    of elements of that side up to and including it in its row. The dropped
-    ones all go to one spare last column, which is cut off."""
-    children = np.empty((order.shape[0], size + 1), dtype=order.dtype)
-    for j, row in enumerate(order):
-        s = side[row]
-        at = np.cumsum(s == 1, dtype=order.dtype)
-        at += low_base[cell_of]
-        is_high = s == 2
-        high_at = np.cumsum(is_high, dtype=order.dtype)
-        high_at += high_base[cell_of]
-        np.copyto(at, high_at, where=is_high)
-        del high_at, is_high
-        at[s == 0] = size
-        children[j, at] = row
-    return children[:, :size]
 
 
 def build_randomized(

@@ -308,7 +308,7 @@ def test_vectorized_draws_match_cell_rng(d):
         assert _child_seeds(seeds, j).tolist() == [derive_child_seed(s, j) for s in DRAW_SEEDS]
 
 
-@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("d", (1, 2, 3, 5))
 @pytest.mark.parametrize("seed", (-1, 0, 2**63))
 def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
     from celltree.randomized import _segmented_generations
@@ -324,15 +324,23 @@ def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
     assert repr(kernel) == repr(reference)
 
 
-@pytest.mark.parametrize("batch", (1, 3, 128))
-def test_kernel_lists_each_cells_points_by_rank_in_every_dimension(monkeypatch, batch):
-    from celltree import randomized
+def test_kernel_decides_a_mid_build_frontier_as_the_per_cell_build():
+    from celltree.core import _assemble
+    from celltree.randomized import _segmented_generations
 
-    monkeypatch.setattr(randomized, "_ORDER_BATCH", batch)
+    # 41 cells of a tie-heavy d = 3 dataset, with unrelated seeds, as a
+    # frontier halfway through a build would hold them
+    beta = 0.99
     data = _differential_data(2_000, 3, True, 9)
     rng = np.random.default_rng(9)
     cuts = np.sort(rng.choice(np.arange(1, 2_000), 40, replace=False))
     cells = [np.sort(c) for c in np.split(rng.permutation(2_000), cuts)]
-    frontier = [CellTask(view=DataView(data, c), seed=0) for c in cells]
-    expected = np.concatenate([c[np.argsort(data.ranks[:, c], axis=1)] for c in cells], axis=1)
-    assert np.array_equal(randomized._cell_ordered_rows(frontier), expected)
+    frontier = [
+        CellTask(view=DataView(data, c), seed=derive_child_seed(-1, i)) for i, c in enumerate(cells)
+    ]
+    decide = randomized_decision(beta)
+    reference = [run_cells(task, decide) for task in frontier]
+    kernel = _assemble(_segmented_generations(list(frontier), beta))
+    # some cells stop at once and most split
+    assert 20 < sum(isinstance(node, Internal) for node in reference) < 41
+    assert repr(kernel) == repr(reference)
