@@ -348,19 +348,42 @@ def classify(tree: PartitionTree, x: Sequence[float]) -> int:
     return route(tree, x)[0].label
 
 
-def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
-    """Batch routing: the leaves left to right, their depths, and each query
-    row's leaf index (int64). Raises ValueError where ``route`` does.
+@dataclass(frozen=True)
+class _CutTable:
+    """A tree's flat binary cut table: each node's 2^L - 1 heap-ordered cuts
+    as rows of their own, row r's low and high targets at ``child[2r]`` and
+    ``child[2r + 1]``; a target t < 0 is leaf ~t. ``root`` is the root's
+    target, ``leaves`` and ``depths`` list the leaves left to right."""
 
-    One pass writes a flat binary cut table, each node's 2^L - 1 heap-ordered
-    cuts as rows of their own with a low and a high target; a target t < 0 is
-    leaf ~t. All rows then descend the table together, one gather per step.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != tree.d:
-        raise ValueError(f"queries must have shape (m, {tree.d})")
-    if not np.isfinite(X).all():
-        raise ValueError("query coordinates must be finite")
+    d: int
+    leaves: list[Leaf]
+    depths: np.ndarray
+    dim_of: np.ndarray
+    thr_of: np.ndarray
+    child: np.ndarray
+    root: int
+
+    def leaf_of(self, X: np.ndarray) -> np.ndarray:
+        """Each query row's leaf index (int64). All rows descend the table
+        together, one gather per step. Raises ValueError where ``route`` does."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"queries must have shape (m, {self.d})")
+        if not np.isfinite(X).all():
+            raise ValueError("query coordinates must be finite")
+        flat = X.ravel()
+        at = np.full(len(X), self.root, dtype=np.int64)
+        live = np.flatnonzero(at >= 0)
+        while live.size:
+            row = at[live]
+            high = ~(flat[live * self.d + self.dim_of[row]] < self.thr_of[row])  # equality routes high
+            at[live] = nxt = self.child[2 * row + high]
+            live = live[nxt >= 0]
+        return ~at
+
+
+def _cut_table(tree: PartitionTree) -> _CutTable:
+    """The tree's cut table, written in one pass without recursion."""
     leaves: list[Leaf] = []
     depths: list[int] = []
     cuts: list[tuple[int, float]] = []
@@ -381,17 +404,22 @@ def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.nda
         targets.extend([0] * width)
         stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(width)))
     table = np.array(cuts, dtype=np.float64).reshape(-1, 2)
-    dim_of, thr_of = table[:, 0].astype(np.int64), table[:, 1]
-    child = np.array(targets[1:], dtype=np.int64)
-    flat = X.ravel()
-    at = np.full(len(X), targets[0], dtype=np.int64)
-    live = np.flatnonzero(at >= 0)
-    while live.size:
-        row = at[live]
-        high = ~(flat[live * tree.d + dim_of[row]] < thr_of[row])  # equality routes high
-        at[live] = nxt = child[2 * row + high]
-        live = live[nxt >= 0]
-    return leaves, np.array(depths, dtype=np.int64), ~at
+    return _CutTable(
+        d=tree.d,
+        leaves=leaves,
+        depths=np.array(depths, dtype=np.int64),
+        dim_of=table[:, 0].astype(np.int64),
+        thr_of=table[:, 1],
+        child=np.array(targets[1:], dtype=np.int64),
+        root=targets[0],
+    )
+
+
+def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
+    """Batch routing: the leaves left to right, their depths, and each query
+    row's leaf index (int64). Raises ValueError where ``route`` does."""
+    table = _cut_table(tree)
+    return table.leaves, table.depths, table.leaf_of(X)
 
 
 def predict_batch(tree: PartitionTree, X: np.ndarray) -> np.ndarray:

@@ -7,8 +7,14 @@ the improvement does not beat (n + 1)^(-beta), splitting is not worth it and
 the cell stops. Both quantities come from the cell's own points, so the rule
 is deterministic and cellular.
 
-The scratch tree grown to depth k+ is a probe only: it is discarded, and a
-cell that does split commits exactly one full 2^d-ary level.
+Each probe level is grown once. A cell that splits commits exactly one full
+2^d-ary level, the first level of its own probe when it grew that level, and
+hands each child the child's share of the probe: the label counts of every
+deeper level in the child's block of canonical cells, and the deepest level's
+views. The share is the child's own probe, which the child would have grown
+from its own points, so a child grows at most the levels below it. A view
+that carries no share (the root, a detached copy, a direct call) grows its
+probe from scratch.
 
 Float determinism note: the error formulas below fix the evaluation order
 (single division per term, leaf terms accumulated left to right in canonical
@@ -22,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Dataset, DataView, Leaf, PartitionTree
-from .median import full_level_split, full_tree_leaves
+from .median import LevelSplit, _grow_levels, full_level_split
 from .runtime import (
     BuildTrace,
     CellTask,
@@ -80,6 +86,79 @@ def k_plus(n: int, alpha: float) -> int:
     return int(math.floor(alpha * math.log2(n + 1)))
 
 
+class _Probe:
+    """A cell's scratch partition, some levels deep.
+
+    ``counts[i]`` holds the (count0, count1) of the 2^{di} cells of level i
+    in canonical order (level 0 is the cell itself), ``leaves`` the views of
+    the deepest level, and ``first`` the cell's own first level when this
+    probe grew it.
+    """
+
+    __slots__ = ("counts", "leaves", "first")
+
+    def __init__(self, counts: list, leaves: list, first: LevelSplit | None = None):
+        self.counts = counts
+        self.leaves = leaves
+        self.first = first
+
+    def share(self, j: int, arity: int) -> "_Probe":
+        """Child j's block of every deeper level: the child's own probe."""
+        counts = [level[j * (len(level) // arity):(j + 1) * (len(level) // arity)]
+                  for level in self.counts[1:]]
+        width = len(self.leaves) // arity
+        return _Probe(counts, self.leaves[j * width:(j + 1) * width])
+
+
+class _CarriedView(DataView):
+    """A child's view carrying its share of the parent's probe. The view's
+    first probe takes the share, so it is freed once the cell has decided."""
+
+    __slots__ = ("_share",)
+
+    @classmethod
+    def carry(cls, view: DataView, share: _Probe) -> "_CarriedView":
+        carried = cls._trusted(view.dataset, view.indices)
+        object.__setattr__(carried, "_share", share)
+        return carried
+
+    def take_share(self) -> _Probe | None:
+        share = self._share
+        object.__setattr__(self, "_share", None)
+        return share
+
+
+def _probe(view: DataView, k: int) -> _Probe:
+    """The view's scratch partition, at least k levels deep, each level grown
+    once: from the view's carried share if it has one, else from the view."""
+    share = view.take_share() if isinstance(view, _CarriedView) else None
+    if share is None:
+        share = _Probe([[view.label_counts()]], [view])
+    counts, leaves, first = share.counts, share.leaves, None
+    del share  # the growth below keeps only the newest level of views
+    for splits, leaves in _grow_levels(leaves, max(k + 1 - len(counts), 0)):
+        if len(counts) == 1:
+            first = splits[0]
+        counts.append([v.label_counts() for v in leaves])
+    return _Probe(counts, leaves, first)
+
+
+def _error(counts: list, n: int) -> float:
+    """Sum of (min(c0, c1) / nj) * (nj / n) over the nonempty cells, left to
+    right; a cell of n points at level 0 gives its own empirical error."""
+    total = 0.0
+    for c0, c1 in counts:
+        nj = c0 + c1
+        if nj:
+            total += (min(c0, c1) / nj) * (nj / n)
+    return total
+
+
+def _stops(probe: _Probe, k: int, n: int, beta: float) -> bool:
+    gap = abs(_error(probe.counts[0], n) - _error(probe.counts[k], n))
+    return gap <= (n + 1.0) ** (-beta)
+
+
 def lookahead_error(view: DataView, k: int) -> float:
     """Error after k scratch full levels, weighted by child populations.
 
@@ -89,17 +168,9 @@ def lookahead_error(view: DataView, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = view.n
-    if n == 0:
+    if view.n == 0:
         return 0.0
-    leaves, _ = full_tree_leaves(view, k)
-    total = 0.0
-    for leaf in leaves:
-        nj = leaf.n
-        if nj:
-            c0, c1 = leaf.label_counts()
-            total += (min(c0, c1) / nj) * (nj / n)
-    return total
+    return _error(_probe(view, k).counts[k], view.n)
 
 
 def decide_stop_lookahead(view: DataView, config: LookaheadConfig) -> bool:
@@ -110,23 +181,30 @@ def decide_stop_lookahead(view: DataView, config: LookaheadConfig) -> bool:
     """
     n = view.n
     k = k_plus(n, config.alpha)
-    gap = abs(empirical_error(view) - lookahead_error(view, k))
-    return gap <= (n + 1.0) ** (-config.beta)
+    return _stops(_probe(view, k), k, n, config.beta)
 
 
 def lookahead_decision(config: LookaheadConfig) -> DecisionFn:
-    """Cell decision closure: stop check, else commit one full level."""
+    """Cell decision closure: stop check, else commit one full level and
+    carry each child's share of the probe on the child's view."""
 
     def decide(view, seed: int):
-        if decide_stop_lookahead(view, config):
-            return Leaf(*view.label_counts())
-        level = full_level_split(view)
+        n = view.n
+        k = k_plus(n, config.alpha)
+        probe = _probe(view, k)
+        if _stops(probe, k, n, config.beta):
+            return Leaf(*probe.counts[0][0])
         # a cell large enough to split has every cascade cut on a nonempty
         # view, so the full split record always exists
+        level = probe.first if probe.first is not None else full_level_split(view)
+        arity = len(level.children)
         return SplitDecision(
             splits=level.split_records(),
             eaten=level.eaten,
-            children=level.children,
+            children=tuple(
+                _CarriedView.carry(child, probe.share(j, arity))
+                for j, child in enumerate(level.children)
+            ),
         )
 
     return decide

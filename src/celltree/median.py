@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, Leaf, PartitionTree, _assemble, _leaf_routes, strict_rank  # noqa: F401
+from .core import DataView, Leaf, PartitionTree, _assemble, _cut_table, _CutTable, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,15 @@ def full_level_split(view: DataView) -> LevelSplit:
 
 
 def _grow_levels(
-    view: DataView, k: int
+    views: list[DataView], k: int
 ) -> Iterator[tuple[tuple[LevelSplit, ...], list[DataView]]]:
-    """Yield (splits, children) for each of k stacked full levels, in canonical
-    order. The parents are dropped before each yield, so a caller that keeps
-    only the newest children holds one level of views at a time.
+    """Yield (splits, children) for each of k stacked full levels grown under
+    ``views``, in canonical order. The parents are dropped before each yield,
+    so a caller that keeps only the newest children holds one level of views
+    at a time.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    views = [view]
     for _ in range(k):
         splits = tuple(full_level_split(v) for v in views)
         views = [c for level in splits for c in level.children]
@@ -133,7 +134,7 @@ def full_tree_leaves(view: DataView, k: int) -> tuple[list[DataView], int]:
     2^{dk} leaf populations.
     """
     leaves, eaten = [view], 0
-    for splits, leaves in _grow_levels(view, k):
+    for splits, leaves in _grow_levels([view], k):
         eaten += sum(len(level.eaten) for level in splits)
     return leaves, eaten
 
@@ -157,10 +158,15 @@ class FullTree:
     levels: tuple[tuple[LevelSplit, ...], ...]
     complete: bool
 
+    @cached_property
+    def _cuts(self) -> _CutTable:
+        """The cut table of ``_partition_tree(self)``, built on first use."""
+        return _cut_table(_partition_tree(self))
+
 
 def build_full_tree(view: DataView, k: int) -> FullTree:
     levels, leaves = [], [view]
-    for splits, leaves in _grow_levels(view, k):
+    for splits, leaves in _grow_levels([view], k):
         levels.append(splits)
     cells = [level for splits in levels for level in splits]
     return FullTree(
@@ -189,9 +195,10 @@ def _partition_tree(tree: FullTree) -> PartitionTree:
 
 def locate_leaf(tree: FullTree, x) -> int:
     """Index of the leaf cell containing x. Requires a complete tree and d
-    finite coordinates; anything else raises ValueError, as ``route`` does."""
-    x = np.asarray(x, dtype=np.float64)[None]  # one row, whose shape _leaf_routes checks
-    return int(_leaf_routes(_partition_tree(tree), x)[2][0])
+    finite coordinates; anything else raises ValueError, as ``route`` does.
+    The tree is converted to its cut table once, on the first call."""
+    x = np.asarray(x, dtype=np.float64)[None]  # one row, whose shape leaf_of checks
+    return int(tree._cuts.leaf_of(x)[0])
 
 
 def leaf_bounds(n: int, k: int, d: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,17 +10,24 @@ import naive_lookahead as naive
 from celltree import (
     AdmissibilityError,
     BuildTrace,
+    CellTask,
+    DataView,
     Dataset,
     Internal,
     Leaf,
     LookaheadConfig,
+    SplitDecision,
     audit_autonomy,
     build_lookahead,
     classify,
     decide_stop_lookahead,
     empirical_error,
     k_plus,
+    lookahead,
     lookahead_error,
+    median,
+    run_cells,
+    serialize_tree,
     validate_tree,
 )
 from celltree.lookahead import lookahead_decision
@@ -274,3 +282,134 @@ def test_admissibility_rejects_nan(alpha, beta):
     # every comparison with NaN is false, so the margin check alone lets it in
     with pytest.raises(AdmissibilityError, match="finite"):
         LookaheadConfig(alpha=alpha, beta=beta, d=2)
+
+
+# ---------------------------------------------------------------------------
+# the carried probe: a split cell hands each child its share of its probe
+
+# (d, n, alpha, beta, checker cells per axis, coordinate grid or 0); in each
+# case carried cells split again, and children both keep their parent's
+# horizon (they grow one level) and lose one level (they grow none)
+CARRIED_CASES = [
+    (1, 2000, 0.45, 0.2, 16, 0),
+    (1, 2000, 0.55, 0.2, 16, 0),
+    (2, 3000, 0.28, 0.2, 8, 0),
+    (2, 3000, 0.28, 0.2, 8, 64),
+    (3, 6000, 0.2, 0.15, 4, 0),
+]
+
+
+def _checker_case(d, n, alpha, beta, cells, grid):
+    rng = np.random.default_rng(1000 * d + n + grid)
+    xs = rng.random((n, d))
+    if grid:
+        xs = np.floor(xs * grid) / grid
+    ys = (np.floor(cells * xs).sum(axis=1) % 2).astype(np.int8)
+    return Dataset(xs, ys), LookaheadConfig(alpha=alpha, beta=beta, d=d, seed=3)
+
+
+@pytest.mark.parametrize("case", CARRIED_CASES)
+def test_carried_probe_matches_naive_and_passes_a_full_audit(case):
+    data, cfg = _checker_case(*case)
+    trace = BuildTrace()
+    tree = build_lookahead(data, cfg, trace=trace)
+    reference = naive.build(data.xs.tolist(), data.ys.tolist(), cfg.alpha, cfg.beta)
+    assert tree_shape(tree.root) == reference
+    # every cell replays from scratch on a plain detached view
+    report = audit_autonomy(trace, data, lookahead_decision(cfg), sample=len(trace.records))
+    assert report.ok, report.failures
+    assert report.checked == len(trace.records)
+    by_id = {r.cell_id: r for r in trace.records}
+    drops = {
+        k_plus(by_id[r.parent_id].n, cfg.alpha) - k_plus(r.n, cfg.alpha)
+        for r in trace.records
+        if r.parent_id
+    }
+    assert drops == {0, 1}
+    # a carried cell split, so its children took a share of a share
+    assert any(r.parent_id and r.decision_fp.startswith("split") for r in trace.records)
+
+
+@pytest.mark.parametrize("case", CARRIED_CASES)
+def test_carried_probe_documents_do_not_depend_on_the_schedule(case):
+    data, cfg = _checker_case(*case)
+    tree = build_lookahead(data, cfg)
+    doc = serialize_tree(tree)
+    assert serialize_tree(build_lookahead(data, cfg, workers=2)) == doc
+    for shuffle_seed in (1, 2):
+        root = run_cells(
+            CellTask(view=data.full_view(), seed=cfg.seed),
+            lookahead_decision(cfg),
+            workers=2,
+            shuffle_seed=shuffle_seed,
+        )
+        assert serialize_tree(dataclasses.replace(tree, root=root)) == doc
+
+
+@pytest.mark.parametrize("case", CARRIED_CASES)
+def test_carried_share_serves_every_horizon(case):
+    # horizons inside the share and below it give the from-scratch error;
+    # the first probe takes the share, a second probe starts from scratch
+    data, cfg = _checker_case(*case)
+    decide = lookahead_decision(cfg)
+    depth = k_plus(data.n, cfg.alpha)
+    for k in range(depth + 2):
+        split = decide(data.full_view(), cfg.seed)
+        assert isinstance(split, SplitDecision)
+        for child in split.children:
+            plain = DataView(data, child.indices)
+            want = lookahead_error(plain, k)
+            assert lookahead_error(child, k) == want
+            assert child._share is None
+            assert lookahead_error(child, k) == want
+
+
+def test_each_probe_level_is_grown_once(monkeypatch):
+    d, *_ = case = CARRIED_CASES[2]
+    data, cfg = _checker_case(*case)
+    calls = []
+    grow = median.full_level_split
+
+    def counted(view):
+        calls.append(view.n)
+        return grow(view)
+
+    monkeypatch.setattr(median, "full_level_split", counted)
+    monkeypatch.setattr(lookahead, "full_level_split", counted)
+    trace = BuildTrace()
+    build_lookahead(data, cfg, trace=trace)
+    # a cell's probe starts at its share's depth (the root's at 0) and goes
+    # down to its horizon; a carried cell that splits cuts its first level anew
+    depth, want, scratch = {}, 0, 0
+    for r in trace.records:  # parents come before their children
+        k = k_plus(r.n, cfg.alpha)
+        shared = depth[r.parent_id] - 1 if r.parent_id else 0
+        depth[r.cell_id] = max(k, shared)
+        want += sum(1 << (d * i) for i in range(shared, depth[r.cell_id]))
+        splits = r.decision_fp.startswith("split")
+        if splits and shared >= 1:
+            want += 1
+        scratch += sum(1 << (d * i) for i in range(k)) + splits
+    assert len(calls) == want < scratch
+
+
+def test_carried_share_is_freed_once_the_child_decides():
+    data, cfg = _checker_case(*CARRIED_CASES[2])
+    decide = lookahead_decision(cfg)
+    carried = []
+
+    def spy(view, seed):
+        decision = decide(view, seed)
+        assert getattr(view, "_share", None) is None  # the decision took it
+        for child in getattr(decision, "children", ()):
+            # one extra set of indices per live cell: the share's views are
+            # disjoint subsets of the child's own points
+            held = [v.indices for v in child._share.leaves]
+            assert sum(map(len, held)) <= child.n
+            assert np.isin(np.concatenate(held), child.indices).all()
+            carried.append(child)
+        return decision
+
+    run_cells(CellTask(view=data.full_view(), seed=cfg.seed), spy)
+    assert len(carried) > 4
+    assert all(child._share is None for child in carried)

@@ -128,6 +128,25 @@ def test_locate_leaf_matches_view_membership_in_every_shape(d, k, rng):
             assert locate_leaf(tree, xs[i]) == leaf_pos
 
 
+def test_locate_leaf_converts_the_tree_once(monkeypatch, rng):
+    from celltree import median
+
+    conversions = []
+    convert = median._partition_tree
+
+    def counted(tree):
+        conversions.append(tree)
+        return convert(tree)
+
+    monkeypatch.setattr(median, "_partition_tree", counted)
+    xs = rng.random((300, 2))
+    tree = build_full_tree(Dataset(xs, np.zeros(300, dtype=np.int8)).full_view(), 3)
+    for leaf_pos, view in enumerate(tree.leaves):
+        for i in view.indices:
+            assert locate_leaf(tree, xs[i]) == leaf_pos
+    assert len(conversions) == 1
+
+
 def test_locate_leaf_rejects_bad_queries(rng):
     xs = rng.random((200, 2))
     tree = build_full_tree(Dataset(xs, np.zeros(200, dtype=np.int8)).full_view(), 2)
