@@ -16,6 +16,7 @@ from celltree import (
     median_split,
     strict_rank,
 )
+from celltree.lookahead import _CarriedView, _Probe
 from conftest import make_dataset
 
 
@@ -99,6 +100,42 @@ def test_median_split_matches_strict_rank_on_subviews(seed):
         assert np.array_equal(cut.low.indices, np.sort(ranked[: r - 1]))
         assert np.array_equal(cut.high.indices, np.sort(ranked[r:]))
         assert not cut.low.indices.flags.writeable
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=4, max_value=300)),
+    st.sampled_from([0, 1, 2, 4]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_median_split_children_match_the_mask_reference(d, n, grid, carried, seed):
+    # the children are exactly the boolean-mask selections of the view's
+    # ascending indices, as fresh arrays DataView._trusted can own
+    rng = np.random.default_rng(seed)
+    xs = rng.random((n + 5, d))
+    if grid:  # grid-tied coordinates: the (value, index) order breaks the ties
+        xs = np.floor(xs * grid) / grid
+    ds = Dataset(xs, (rng.random(n + 5) < 0.5).astype(np.int8))
+    view = DataView(ds, np.sort(rng.choice(n + 5, size=n, replace=False)))
+    if carried:
+        view = _CarriedView.carry(view, _Probe([[view.label_counts()]], [view]))
+    indices = view.indices
+    for dim in range(d):
+        rk = ds.ranks[dim][indices]
+        cut = median_split(view, dim)
+        pivot_rank = ds.ranks[dim][cut.pivot_index]
+        assert pivot_rank == np.sort(rk)[(n + 1) // 2 - 1]
+        low, high = indices[rk < pivot_rank], indices[rk > pivot_rank]
+        for child, reference in ((cut.low, low), (cut.high, high)):
+            got = child.indices
+            assert np.array_equal(got, reference)
+            assert got.dtype == np.int64
+            assert np.all(np.diff(got) > 0)
+            assert not got.flags.writeable
+            assert got.base is None and got.flags.owndata
+            assert not np.shares_memory(got, indices)
 
 
 def test_median_split_all_identical_coordinates():
