@@ -378,6 +378,8 @@ class _CutTable:
             row = at[live]
             high = ~(flat[live * self.d + self.dim_of[row]] < self.thr_of[row])  # equality routes high
             at[live] = nxt = self.child[2 * row + high]
+            # boolean indexing, not compress: this mask is mostly true, and
+            # compress measured no faster on predict_batch
             live = live[nxt >= 0]
         return ~at
 

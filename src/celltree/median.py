@@ -10,8 +10,10 @@ The kernel never sorts a cell. It compares the dataset's presorted ranks
 (``Dataset.ranks``), which encode the strict order of the whole dataset and
 therefore of every subset of it: a cell's own ranks order its own points
 exactly as sorting them would. Selecting the r-th smallest rank is a linear
-partition, and masking the cell's ascending indices by rank keeps each child
-ascending without a sort (SLIQ/CART-style presorting).
+partition, and selecting the cell's ascending indices by rank keeps each child
+ascending without a sort (SLIQ/CART-style presorting). The selection uses
+``ndarray.compress``: it returns the same array as boolean indexing, which is
+3.5-4x slower (numpy 2.4) on a mask as unpredictable as a median cut's.
 """
 from __future__ import annotations
 
@@ -60,8 +62,8 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
         dim=dim,
         pivot_index=pivot,
         threshold=float(dataset.xs[pivot, dim]),
-        low=DataView._trusted(dataset, indices[rk < cut]),
-        high=DataView._trusted(dataset, indices[rk > cut]),
+        low=DataView._trusted(dataset, indices.compress(rk < cut)),
+        high=DataView._trusted(dataset, indices.compress(rk > cut)),
     )
 
 

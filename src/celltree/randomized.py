@@ -160,6 +160,8 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
         ones = ones[ends] - ones[ends - sizes]
         split = np.flatnonzero(~stop)
         cut, kept = dims[split], sizes[split]
+        # boolean indexing, not compress: on a mask of long runs it is faster
+        # (0.65 against 1.50 ms for 600k points in runs of 300, numpy 2.4)
         points = points[np.repeat(~stop, sizes)]
         # distinct keys, since ranks[j] is a permutation of 0..n-1
         key = np.repeat(np.arange(split.size, dtype=np.int64) * n, kept)
@@ -177,6 +179,7 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
             Leaf(m - c1, c1) if stopped else next(records)
             for stopped, m, c1 in zip(stop.tolist(), sizes.tolist(), ones.tolist())
         ])
+        # np.delete, not a keep-mask and compress: 0.60 against 1.42 ms at that size
         points = np.delete(points, pivot_at)
         sizes = np.column_stack((low, kept - 1 - low)).ravel()
         parents = seeds[split]

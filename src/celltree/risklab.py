@@ -176,9 +176,13 @@ def estimate_level_risk(
             counts = np.bincount(leaf_of, minlength=cells)
             if counts[counts > 0].min(initial=_LEAF_SAMPLE_TARGET) >= _LEAF_SAMPLE_TARGET:
                 break
+        # a stable sort by leaf gives each cell its samples in draw order, one
+        # contiguous run per cell, so each mean sums what a per-cell mask would
+        grouped = etas[np.argsort(leaf_of, kind="stable")]
+        ends = np.cumsum(counts)
         value = 0.0
         for cell in np.flatnonzero(counts):
-            eta_bar = float(etas[leaf_of == cell].mean())
+            eta_bar = float(grouped[ends[cell] - counts[cell] : ends[cell]].mean())
             value += (int(counts[cell]) / len(leaf_of)) * min(eta_bar, 1.0 - eta_bar)
         per_rep.append(value)
     mean = float(np.mean(per_rep))

@@ -23,7 +23,16 @@ from celltree import (
     tree_predictor,
     write_risk_csv,
 )
-from celltree.risklab import ALGORITHMS, RISK_CSV_COLUMNS, build_tree
+from celltree.core import _leaf_routes
+from celltree.median import _partition_tree
+from celltree.risklab import (
+    _LEAF_SAMPLE_TARGET,
+    _MAX_SAMPLE_ROUNDS,
+    ALGORITHMS,
+    RISK_CSV_COLUMNS,
+    build_tree,
+)
+from celltree.runtime import derive_child_seed
 
 
 def test_catalog_lists_all_builtins():
@@ -178,6 +187,43 @@ def test_level_risk_nonincreasing_in_k():
         prev = est
     # with 16 cells on d-lin the rule is close to optimal
     assert prev.mean <= 0.30
+
+
+def _mask_level_risk_mean(dist, n, k, reps, seed):
+    """estimate_level_risk's mean, one boolean mask per cell: the reference
+    for its grouped per-cell means."""
+    cells = 1 << (dist.d * k)
+    per_rep = []
+    for rep in range(reps):
+        rep_seed = derive_child_seed(seed, rep)
+        data = dist.sample(n, derive_child_seed(rep_seed, 0))
+        tree = _partition_tree(build_full_tree(data.full_view(), k))
+        rng = np.random.default_rng(derive_child_seed(rep_seed, 1))
+        leaf_of = np.empty(0, dtype=np.int64)
+        etas = np.empty(0, dtype=np.float64)
+        for _ in range(_MAX_SAMPLE_ROUNDS):
+            batch = dist.sample_x(_LEAF_SAMPLE_TARGET * cells, int(rng.integers(1 << 63)))
+            leaf_of = np.concatenate([leaf_of, _leaf_routes(tree, batch)[2]])
+            etas = np.concatenate([etas, dist.eta(batch)])
+            counts = np.bincount(leaf_of, minlength=cells)
+            if counts[counts > 0].min(initial=_LEAF_SAMPLE_TARGET) >= _LEAF_SAMPLE_TARGET:
+                break
+        value = 0.0
+        for cell in np.flatnonzero(counts):
+            eta_bar = float(etas[leaf_of == cell].mean())
+            value += (int(counts[cell]) / len(leaf_of)) * min(eta_bar, 1.0 - eta_bar)
+        per_rep.append(value)
+    return float(np.mean(per_rep))
+
+
+@pytest.mark.parametrize(
+    "name, d, n, k",
+    [("d-lin", 1, 500, 0), ("d-lin", 1, 3000, 5), ("d-checker", 2, 4000, 3), ("d-lin", 3, 1000, 1)],
+)
+def test_level_risk_matches_the_per_cell_mask_reference(name, d, n, k):
+    dist = get_distribution(name, d=d)
+    est = estimate_level_risk(dist, n=n, k=k, reps=2, seed=3)
+    assert est.mean == _mask_level_risk_mean(dist, n, k, reps=2, seed=3)
 
 
 def test_level_risk_requires_enough_points():
