@@ -2,8 +2,8 @@
 
 Two tree builders that grow a partition of the input space cell by cell,
 where every cell decides to stop or split from its own points and its own
-random stream alone, plus a deterministic parallel runtime and a synthetic
-risk lab for benchmarking against known Bayes risks.
+random stream alone, plus a deterministic cell-by-cell runtime and a
+synthetic risk lab for benchmarking against known Bayes risks.
 """
 
 __version__ = "0.1.0"

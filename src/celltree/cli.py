@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Median-split tree classifiers built from autonomous cells.",
         epilog=(
             "Exit codes: 0 ok, 2 usage, 3 inadmissible parameters, 4 I/O. "
-            "Worker default comes from CELLTREE_WORKERS (else 1)."
+            "Builds run in one thread; --workers and CELLTREE_WORKERS are "
+            "accepted, checked to be >= 1, and change nothing."
         ),
     )
     parser.add_argument("--version", action="version", version=f"celltree {__version__}")
@@ -244,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker threads; default CELLTREE_WORKERS or 1",
+            help="accepted for compatibility, must be >= 1, changes nothing; "
+            "default CELLTREE_WORKERS or 1",
         )
 
     p_train = sub.add_parser("train", help="fit a tree on a CSV dataset")

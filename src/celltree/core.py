@@ -96,8 +96,9 @@ class Dataset:
 
         A stable argsort of a column realizes that order, so ``ranks[dim]``
         is a permutation of 0..n-1 and comparing ranks compares points. All
-        d rows are built on first use, at 8 * d * n bytes, and kept. Threads
-        that race on the first use compute the same array; one copy is kept.
+        d rows are built on first use, at 8 * d * n bytes, and kept. If a
+        caller's own threads race on the first use, each computes the same
+        array; one copy is kept.
         """
         ranks = self._ranks
         if ranks is None:

@@ -3,10 +3,10 @@
 Every cell of a growing tree is an independent unit of work: it receives a
 view of the data and a derived seed, and nothing else. A decision function
 maps (view, seed) to either a leaf or a split with child views. The runtime
-schedules cells on a work queue, derives child seeds by avalanche mixing of
-(parent seed, child index), and assembles the tree bottom-up by structure
-rather than by completion order, so the result is byte-for-byte identical
-for any worker count.
+decides cells frontier by frontier in one thread, derives child seeds by
+avalanche mixing of (parent seed, child index), and assembles the tree
+bottom-up by structure rather than by decision order, so the result is
+byte-for-byte identical for any order of the cells within a frontier.
 
 The same property is what makes the classifiers here "cellular": no decision
 may read global state such as the total training size. That cannot be made
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -175,14 +174,12 @@ def run_cells(
 ) -> Node:
     """Execute a cell tree to completion and assemble the node tree.
 
-    Cells are processed frontier by frontier. Within a frontier every cell is
-    independent, so the batch can be fanned out to a thread pool: each
-    worker gets one strided slice of the dispatch order, which costs one
-    task submission per worker rather than one per cell. Results are
-    re-associated with their tasks by position, which keeps assembly
-    independent of completion order. ``shuffle_seed`` randomizes dispatch
-    order inside each frontier (used by tests to demonstrate schedule
-    independence); the assembled tree does not change.
+    Cells are decided frontier by frontier, in one thread. Results are kept
+    by frontier position, which keeps assembly independent of the order in
+    which the cells were decided. ``shuffle_seed`` randomizes that order
+    inside each frontier (used by tests to demonstrate schedule
+    independence); the assembled tree does not change. ``workers`` is
+    accepted and checked to be >= 1, and changes nothing.
 
     ``_handover`` lets a builder finish the build its own way: it is offered
     each frontier before that frontier is decided, and returns None to leave
@@ -197,76 +194,60 @@ def run_cells(
     handover = _handover if trace is None else None
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
-    def run_slice(tasks: list[CellTask], positions: list[int], results: list) -> None:
-        for i in positions:
-            task = tasks[i]
-            try:
-                results[i] = decide(task.view, task.seed)
-            except Exception as exc:
-                raise CellBuildError(task.cell_id, task.view.n, exc) from exc
-
     # one list per generation, in frontier order: each decided cell's
     # finished Leaf, or its split's (splits, eaten, arity). Child views are
     # not kept, so each generation's index arrays are freed once its
     # children have run.
     generations: list[list] = []
     frontier: list[CellTask] = [root]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            rest = handover(frontier) if handover is not None else None
-            if rest is not None:
-                generations.extend(rest)
-                break
-            order = list(range(len(frontier)))
-            if shuffler is not None:
-                shuffler.shuffle(order)
-            results: list[CellDecision] = [None] * len(frontier)  # type: ignore[list-item]
-            if pool is None:
-                run_slice(frontier, order, results)
-            else:
-                futures = [
-                    pool.submit(run_slice, frontier, order[c::workers], results)
-                    for c in range(min(workers, len(order)))
-                ]
-                for future in futures:
-                    future.result()
-            cells: list = []
-            nxt: list[CellTask] = []
-            for task, decision in zip(frontier, results):
-                if trace is not None:
-                    trace.records.append(
-                        TraceRecord(
-                            cell_id=task.cell_id,
-                            parent_id=task.parent_id,
-                            n=task.view.n,
-                            seed=task.seed,
-                            decision_fp=decision_fingerprint(decision),
-                            input_hash=_input_hash(task.view, task.seed),
-                            view_indices=task.view.indices,
-                        )
+    while frontier:
+        rest = handover(frontier) if handover is not None else None
+        if rest is not None:
+            generations.extend(rest)
+            break
+        order = list(range(len(frontier)))
+        if shuffler is not None:
+            shuffler.shuffle(order)
+        results: list[CellDecision] = [None] * len(frontier)  # type: ignore[list-item]
+        for i in order:
+            task = frontier[i]
+            try:
+                results[i] = decide(task.view, task.seed)
+            except Exception as exc:
+                raise CellBuildError(task.cell_id, task.view.n, exc) from exc
+        cells: list = []
+        nxt: list[CellTask] = []
+        for task, decision in zip(frontier, results):
+            if trace is not None:
+                trace.records.append(
+                    TraceRecord(
+                        cell_id=task.cell_id,
+                        parent_id=task.parent_id,
+                        n=task.view.n,
+                        seed=task.seed,
+                        decision_fp=decision_fingerprint(decision),
+                        input_hash=_input_hash(task.view, task.seed),
+                        view_indices=task.view.indices,
                     )
-                if isinstance(decision, Leaf):
-                    cells.append(decision)
-                    continue
-                cells.append((decision.splits, decision.eaten, len(decision.children)))
-                for j, child_view in enumerate(decision.children):
-                    nxt.append(
-                        CellTask(
-                            view=child_view,
-                            seed=derive_child_seed(task.seed, j),
-                            cell_id=f"{task.cell_id}.{j}",
-                            parent_id=task.cell_id,
-                        )
+                )
+            if isinstance(decision, Leaf):
+                cells.append(decision)
+                continue
+            cells.append((decision.splits, decision.eaten, len(decision.children)))
+            for j, child_view in enumerate(decision.children):
+                nxt.append(
+                    CellTask(
+                        view=child_view,
+                        seed=derive_child_seed(task.seed, j),
+                        cell_id=f"{task.cell_id}.{j}",
+                        parent_id=task.cell_id,
                     )
-            # the decisions hold the next frontier's views too: drop them, so
-            # that a handover which clears the frontier frees those views
-            del results
-            generations.append(cells)
-            frontier = nxt
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+                )
+        # the decisions hold the next frontier's views too: drop them, so
+        # that a handover which clears the frontier frees those views
+        del results
+        generations.append(cells)
+        frontier = nxt
     return _assemble(generations)[0]
 
 

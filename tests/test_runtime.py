@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,17 @@ from celltree import (
     build_lookahead,
     build_randomized,
     derive_child_seed,
+    deserialize_tree,
     median_split,
     randomized_decision,
     run_cells,
+    save_csv,
     serialize_tree,
     splitmix64,
     tree_stats,
     validate_tree,
 )
+from celltree.cli import main
 from celltree.lookahead import lookahead_decision
 from celltree.median import median_split
 from celltree.runtime import decision_fingerprint
@@ -168,6 +173,45 @@ def test_worker_error_propagates_from_the_pool(rng):
     # both children fail; the first slice of the dispatch order reports
     with pytest.raises(CellBuildError, match=r"cell r\.0 \(N=19\)"):
         run_cells(CellTask(view=data.full_view(), seed=0), root_only, workers=2)
+
+
+def test_no_thread_starts_at_any_worker_count(tmp_path, monkeypatch):
+    """Builds run in one thread: ``workers`` is checked and changes nothing.
+
+    The randomized build is large enough to hand its small cells to the
+    segmented kernel, and the lookahead build splits below the root.
+    """
+    xs = np.random.default_rng(5).random((3000, 2))
+    data = Dataset(xs, (xs.sum(axis=1) > 1).astype(np.int8))
+    csv_path = tmp_path / "train.csv"
+    save_csv(data, csv_path)
+    builders = (
+        lambda w: build_randomized(data, RandomizedConfig(beta=0.99, seed=4), workers=w),
+        lambda w: build_lookahead(
+            data, LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=4), workers=w
+        ),
+    )
+    flags = {"randomized": ["--beta", "0.99"], "lookahead": ["--alpha", "0.25", "--beta", "0.2"]}
+
+    def train(algo, workers):
+        out = tmp_path / f"{algo}-w{workers}.json"
+        argv = ["train", "--algo", algo, "--data", str(csv_path), "--out", str(out), "--seed", "4"]
+        assert main(argv + flags[algo] + ["--workers", str(workers)]) == 0
+        return out.read_text(encoding="utf-8")
+
+    serial = [serialize_tree(build(1)) for build in builders]
+    serial_cli = [train(algo, 1) for algo in flags]
+    assert all(tree_stats(deserialize_tree(doc)).max_depth >= 2 for doc in serial + serial_cli)
+
+    def refuse(self):
+        raise AssertionError(f"a thread was started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # 10**6 is far above any frontier width here; a thread pool would try to
+    # start one thread per cell, so that value is passed only under the guard
+    for workers in (8, 10**6):
+        assert [serialize_tree(build(workers)) for build in builders] == serial
+        assert [train(algo, workers) for algo in flags] == serial_cli
 
 
 def test_run_cells_rejects_bad_worker_count(rng):
