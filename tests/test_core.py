@@ -250,6 +250,34 @@ def test_serialize_is_canonical_and_roundtrips(rng):
     assert np.array_equal(predict_batch(tree, X), predict_batch(again, X))
 
 
+def _canonical_json(doc: str) -> str:
+    """The canonical bytes as the json module writes them from the parsed document."""
+    return json.dumps(json.loads(doc), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algo=st.sampled_from(["randomized", "lookahead"]),
+    d=st.integers(1, 3),
+    n=st.integers(1, 300),
+    grid=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_serialize_matches_the_json_module_and_roundtrips(algo, d, n, grid, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.random((n, d))
+    if grid:  # duplicate coordinates: ties break by point index
+        xs = np.floor(xs * 4) / 4
+    data = Dataset(xs, (rng.random(n) < 0.5).astype(np.int8))
+    if algo == "randomized":
+        tree = build_randomized(data, RandomizedConfig(beta=0.9, seed=seed))
+    else:
+        tree = build_lookahead(data, LookaheadConfig(alpha=0.1, beta=0.1, d=d, seed=seed))
+    doc = serialize_tree(tree)
+    assert doc == _canonical_json(doc)
+    assert serialize_tree(deserialize_tree(doc)) == doc
+
+
 def test_serialize_rejects_non_scalar_config():
     tree = PartitionTree(root=Leaf(1, 0), d=1, mode="binary", config={"bad": [1, 2]})
     with pytest.raises(TreeSchemaError):
