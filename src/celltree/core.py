@@ -316,8 +316,12 @@ class PartitionTree:
             raise ValueError("d must be >= 1")
 
 
-def _node_arity(tree: PartitionTree) -> int:
-    return 2 if tree.mode == "binary" else 1 << tree.d
+def _node_arity(mode: str, d: int) -> int | None:
+    """Children per internal node: 2 in binary mode, 2^d in full mode. None
+    from d = 64 on, where no node can hold 2^d children; 2^d is never built."""
+    if mode == "binary":
+        return 2
+    return 1 << d if d < 64 else None
 
 
 def route(tree: PartitionTree, x: Sequence[float]) -> tuple[Leaf, int]:
@@ -470,25 +474,48 @@ def tree_stats(tree: PartitionTree) -> TreeStats:
     return TreeStats(nodes, internals, leaves, max_depth, leaf_points, eaten, hist)
 
 
-def _check_node(node: Node, d: int, arity: int) -> None:
-    """The per-node rule of ``validate_tree`` and the writer, which the reader
-    also enforces: nonnegative integer leaf counts; ``arity`` children, one cut fewer
-    and one eaten pivot per cut; cut dimensions in 0..d-1, finite thresholds."""
+# the threshold types _check_node takes as real numbers; a bool is refused apart
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _check_node(node: Node, d: int, arity: int | None) -> None:
+    """The one per-node rule, of ``validate_tree``, the writer and the reader:
+    nonnegative integer leaf counts; ``arity`` children (``_node_arity``), one
+    cut fewer and one eaten pivot per cut; each cut an integer dimension in
+    0..d-1 (not a bool) and a finite real threshold (not a bool)."""
     if isinstance(node, Leaf):
-        if not (_is_int(node.count0) and _is_int(node.count1)) or min(node.count0, node.count1) < 0:
+        c0, c1 = node.count0, node.count1  # _is_int spelt out: most nodes are leaves
+        if not (isinstance(c0, int) and isinstance(c1, int)) or isinstance(c0, bool) \
+                or isinstance(c1, bool) or c0 < 0 or c1 < 0:
             raise TreeSchemaError("leaf counts must be nonnegative integers")
         return
     if len(node.children) != arity:
-        raise TreeSchemaError(f"internal node has {len(node.children)} children, expected {arity}")
+        expected = f"2^{d}" if arity is None else arity
+        raise TreeSchemaError(
+            f"internal node has {len(node.children)} children, expected {expected}")
     if len(node.splits) != arity - 1:
         raise TreeSchemaError(f"internal node has {len(node.splits)} cuts, expected {arity - 1}")
     if len(node.eaten) != len(node.splits):
         raise TreeSchemaError("eaten pivot count must equal cut count")
     for dim, thr in node.splits:
+        if not _is_int(dim):
+            raise TreeSchemaError(f"cut dimension {dim!r} is not an integer")
         if not 0 <= dim < d:
             raise TreeSchemaError(f"cut dimension {dim!r} out of range 0..{d - 1}")
+        if isinstance(thr, bool) or not isinstance(thr, _REAL_TYPES):
+            raise TreeSchemaError(f"cut threshold {thr!r} is not a real number")
         if not math.isfinite(thr):
             raise TreeSchemaError("cut threshold must be finite")
+
+
+def _check_nodes(root: Node, d: int, arity: int | None) -> None:
+    """Every node under ``root`` by ``_check_node``, top-down without recursion."""
+    stack: list[Node] = [root]
+    while stack:
+        node = stack.pop()
+        _check_node(node, d, arity)
+        if isinstance(node, Internal):
+            stack.extend(node.children)
 
 
 def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
@@ -498,13 +525,7 @@ def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
     training size ``n`` is known (argument or ``config["n"]``), conservation:
     every training point is counted in exactly one leaf or eaten as a pivot.
     """
-    arity = _node_arity(tree)
-    stack: list[Node] = [tree.root]
-    while stack:
-        node = stack.pop()
-        _check_node(node, tree.d, arity)
-        if isinstance(node, Internal):
-            stack.extend(node.children)
+    _check_nodes(tree.root, tree.d, _node_arity(tree.mode, tree.d))
     stats = tree_stats(tree)
     if n is None and _is_int(tree.config.get("n")):
         n = tree.config["n"]
@@ -521,6 +542,11 @@ def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
 
 _CONFIG_SCALARS = (str, int, float, bool, type(None))
 
+# The deepest tree, in split events from the root, that either side of the codec
+# takes. json.loads reads about 495 levels of the document at Python's default
+# recursion limit; a median-split tree of n points is under log2(n) + 1 deep.
+MAX_TREE_DEPTH = 400
+
 
 def _check_config(config) -> None:
     """The config rule, read and write alike: strings to JSON scalars, finite floats."""
@@ -532,35 +558,41 @@ def _check_config(config) -> None:
         raise TreeSchemaError("config values must be finite")
 
 
-def _node_doc(node: Node, d: int, arity: int) -> dict:
-    _check_node(node, d, arity)
-    if isinstance(node, Leaf):
-        return {"count0": node.count0, "count1": node.count1}
-    return {
-        "splits": [(dim + 1, float(thr)) for dim, thr in node.splits],
-        "eaten": len(node.eaten),
-        "children": [_node_doc(c, d, arity) for c in node.children],
-    }
-
-
 def serialize_tree(tree: PartitionTree) -> str:
     """Canonical one-line JSON document for a tree.
 
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
-    1-based on the wire. A tree that ``deserialize_tree`` would refuse (a
-    node that breaks ``validate_tree``'s per-node rule, or nesting deeper
-    than the writer's recursion allows) raises TreeSchemaError.
+    1-based on the wire. The nodes are written in one pass without recursion.
+    A tree that ``deserialize_tree`` would refuse (a node that breaks
+    ``_check_node``, or one deeper than ``MAX_TREE_DEPTH``) raises TreeSchemaError.
     """
     _check_config(tree.config)
-    doc = {"mode": tree.mode, "d": tree.d, "config": dict(tree.config)}
-    try:
-        doc["root"] = _node_doc(tree.root, tree.d, _node_arity(tree))
-        # built fresh from the nodes, the document has no cycle for json to look for
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          check_circular=False) + "\n"
-    except RecursionError:
-        raise TreeSchemaError("tree nested too deeply to serialize") from None
+    d, arity = tree.d, _node_arity(tree.mode, tree.d)
+    head = json.dumps({"config": tree.config, "d": d, "mode": tree.mode},
+                      sort_keys=True, separators=(",", ":"))
+    parts = [head[:-1], ',"root":']
+    stack: list = [(tree.root, 0)]  # (node, depth), or text due once the children above it are out
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, depth = item
+        _check_node(node, d, arity)
+        if isinstance(node, Leaf):
+            parts.append('{"count0":%d,"count1":%d}' % (node.count0, node.count1))
+            continue
+        if depth == MAX_TREE_DEPTH:
+            raise TreeSchemaError("tree nested too deeply to serialize")
+        cuts = ",".join(["[%d,%r]" % (dim + 1, float(thr)) for dim, thr in node.splits])
+        parts.append('{"children":[')
+        stack.append('],"eaten":%d,"splits":[%s]}' % (len(node.eaten), cuts))
+        for child in reversed(node.children):
+            stack += (child, depth + 1), ","
+        stack.pop()  # no comma before the first child
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def _is_int(value) -> bool:
@@ -568,55 +600,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_node(doc, d: int, arity: int) -> Node:
-    if not isinstance(doc, dict):
-        raise TreeSchemaError("node must be an object")
-    keys = set(doc)
-    if keys == {"count0", "count1"}:
-        c0, c1 = doc["count0"], doc["count1"]
-        if not (_is_int(c0) and _is_int(c1)) or c0 < 0 or c1 < 0:
-            raise TreeSchemaError("leaf counts must be nonnegative integers")
-        return Leaf(c0, c1)
-    if keys != {"splits", "eaten", "children"}:
-        raise TreeSchemaError(f"unexpected node keys {sorted(keys)}")
-    splits_doc, eaten, children_doc = doc["splits"], doc["eaten"], doc["children"]
-    if not isinstance(children_doc, list) or len(children_doc) != arity:
-        raise TreeSchemaError(f"internal node must have {arity} children")
-    if not isinstance(splits_doc, list) or len(splits_doc) != arity - 1:
-        raise TreeSchemaError(f"internal node must have {arity - 1} cuts")
-    if not _is_int(eaten) or eaten != len(splits_doc):
-        raise TreeSchemaError("eaten pivot count must equal cut count")
-    splits = []
-    for entry in splits_doc:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not _is_int(entry[0])
-            or isinstance(entry[1], bool)
-            or not isinstance(entry[1], (int, float))
-        ):
-            raise TreeSchemaError("cut must be [dim, threshold]")
-        dim = entry[0]
-        try:
-            thr = float(entry[1])
-        except OverflowError:  # an integer literal beyond the float range
-            thr = math.inf
-        if not 1 <= dim <= d:
-            raise TreeSchemaError(f"cut dimension {dim} out of range 1..{d}")
-        if not math.isfinite(thr):
-            raise TreeSchemaError("cut threshold must be finite")
-        splits.append((dim - 1, thr))
-    children = tuple(_parse_node(c, d, arity) for c in children_doc)
-    # pivot identities are not on the wire; -1 marks an unknown index
-    return Internal(tuple(splits), (-1,) * eaten, children)
-
-
 def deserialize_tree(text: str) -> PartitionTree:
     """Parse and validate a tree document.
 
-    Every malformed document raises TreeSchemaError, including one nested
-    deeper than the parser's recursion allows; a tree built by median
-    splits is at most about log2(n) levels deep, so no real document is.
+    Every malformed document raises TreeSchemaError. The parsed nodes are read
+    one generation at a time for their wire format, built bottom-up by
+    ``_assemble`` and checked by ``_check_node``. A tree deeper than
+    ``MAX_TREE_DEPTH``, or nested deeper than ``json.loads`` parses, is refused.
     """
     try:
         doc = json.loads(text)
@@ -632,11 +622,42 @@ def deserialize_tree(text: str) -> PartitionTree:
     if not _is_int(d) or d < 1:
         raise TreeSchemaError("d must be a positive integer")
     _check_config(config)
-    arity = 2 if mode == "binary" else 1 << d
-    try:
-        root = _parse_node(doc["root"], d, arity)
-    except RecursionError:
-        raise TreeSchemaError("document nested too deeply") from None
+    generations: list[list] = []
+    level = [doc.pop("root")]
+    while level:
+        if len(generations) > MAX_TREE_DEPTH:
+            raise TreeSchemaError("document nested too deeply")
+        cells: list = []
+        below: list = []
+        level.reverse()  # popped in order, each parsed node is freed once read
+        while level:
+            node = level.pop()
+            keys = node.keys() if isinstance(node, dict) else None
+            if keys == {"count0", "count1"}:
+                cells.append(Leaf(node["count0"], node["count1"]))
+                continue
+            if keys != {"splits", "eaten", "children"}:
+                raise TreeSchemaError("node must be a leaf or split object")
+            splits, eaten, children = node["splits"], node["eaten"], node["children"]
+            if not (isinstance(splits, list) and isinstance(children, list) and _is_int(eaten)):
+                raise TreeSchemaError("splits and children must be lists, eaten an integer")
+            cuts = []
+            for cut in splits:  # a 1-based dimension and a number
+                if not (isinstance(cut, list) and len(cut) == 2 and _is_int(cut[0])
+                        and 1 <= cut[0] <= d and type(cut[1]) in (int, float)):
+                    raise TreeSchemaError(f"cut must be [dim, threshold] with dim in 1..{d}")
+                try:
+                    cuts.append((cut[0] - 1, float(cut[1])))
+                except OverflowError:  # an integer literal beyond the float range
+                    cuts.append((cut[0] - 1, math.inf))
+            # pivot identities are not on the wire; -1 marks an unknown index. A count
+            # beyond the cuts stays one too many, and is never built.
+            cells.append((tuple(cuts), (-1,) * min(eaten, len(cuts) + 1), len(children)))
+            below += children
+        generations.append(cells)
+        level = below
+    root = _assemble(generations)[0]
+    _check_nodes(root, d, _node_arity(mode, d))
     return PartitionTree(root=root, d=d, mode=mode, config=config)
 
 

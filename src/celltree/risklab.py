@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, _leaf_routes, predict_batch, route_depths
+from .core import Dataset, PartitionTree, _cut_table, _leaf_routes, route_depths
 from .lookahead import LookaheadConfig, build_lookahead
 from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
@@ -96,7 +96,10 @@ def bayes_predictor(dist: SyntheticDistribution) -> Callable[[np.ndarray], np.nd
 
 
 def tree_predictor(tree: PartitionTree) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda X: predict_batch(tree, X)
+    """``predict_batch`` for one tree, whose cut table is built once for every batch."""
+    table = _cut_table(tree)
+    labels = np.array([leaf.label for leaf in table.leaves], dtype=np.int8)
+    return lambda X: labels[table.leaf_of(X)]
 
 
 def constant_predictor(label: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -110,6 +113,10 @@ class RiskEstimate:
     m: int
 
 
+# query rows that empirical_risk draws and predicts at a time
+_RISK_CHUNK_ROWS = 1 << 16
+
+
 def empirical_risk(
     predict: Callable[[np.ndarray], np.ndarray],
     dist: SyntheticDistribution,
@@ -118,15 +125,24 @@ def empirical_risk(
 ) -> RiskEstimate:
     """Misclassification rate of a batch predictor on m fresh pairs.
 
+    The pairs are those of ``default_rng(seed)`` drawing all m x d
+    coordinates of X, then the m uniforms that decide Y. They are drawn and
+    predicted ``_RISK_CHUNK_ROWS`` rows at a time, so memory stays bounded
+    for any m: Y's uniforms come from a second generator on the same seed,
+    advanced past X's m * d draws, and the errors are counted as an integer.
     Standard error is the binomial sqrt(p(1-p)/m) of the estimate itself.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = rng.random((m, dist.d))
-    Y = (rng.random(m) < dist.eta(X)).astype(np.int8)
-    errors = np.asarray(predict(X), dtype=np.int8) != Y
-    p_hat = float(errors.mean())
+    x_rng = np.random.Generator(np.random.PCG64(seed))
+    y_rng = np.random.Generator(np.random.PCG64(seed))
+    y_rng.bit_generator.advance(m * dist.d)
+    errors = 0
+    for start in range(0, m, _RISK_CHUNK_ROWS):
+        X = x_rng.random((min(_RISK_CHUNK_ROWS, m - start), dist.d))
+        Y = (y_rng.random(len(X)) < dist.eta(X)).astype(np.int8)
+        errors += int(np.count_nonzero(np.asarray(predict(X), dtype=np.int8) != Y))
+    p_hat = errors / m
     return RiskEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / m), m)
 
 

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import celltree
 from celltree import get_distribution, save_csv
 from celltree.cli import main
 from celltree.risklab import RISK_CSV_COLUMNS
@@ -205,6 +210,37 @@ def test_inspect_deeply_nested_document_exit_4(tmp_path, capsys):
     code, _, stderr = run(capsys, "inspect", "--tree", deep)
     assert code == 4
     assert "nested too deeply" in stderr
+
+
+def _inspect_with_little_memory(path):
+    """``celltree inspect`` in a child process whose address space is capped
+    at 1 GiB, so a build of 2^d for a huge d fails at once instead of paging."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(celltree.__file__)))
+    script = "import sys; from celltree.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, "inspect", "--tree", str(path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_inspect_full_mode_with_a_huge_d(tmp_path):
+    leaf = '{"count0":0,"count1":0}'
+    head = '{"config":{},"d":' + str(10**12) + ',"mode":"full","root":'
+    path = tmp_path / "tree.json"
+    path.write_text(head + leaf + "}")
+    done = _inspect_with_little_memory(path)
+    assert done.returncode == 0, done.stderr
+    assert "nodes=1 internals=0 leaves=1" in done.stdout
+    path.write_text(head + '{"children":[' + leaf + "," + leaf + '],"eaten":1,"splits":[[1,0.5]]}}')
+    done = _inspect_with_little_memory(path)
+    assert done.returncode == 4
+    expected = f"error: internal node has 2 children, expected 2^{10**12}"
+    assert done.stderr.strip().splitlines() == [expected]
 
 
 def test_inspect_detects_tampered_counts(tmp_path, train_csv, capsys):

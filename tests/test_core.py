@@ -32,6 +32,7 @@ from celltree import (
     tree_stats,
     validate_tree,
 )
+from celltree.core import MAX_TREE_DEPTH
 from conftest import make_dataset
 
 
@@ -456,6 +457,44 @@ def test_serialize_refuses_a_node_the_reader_refuses(bad, message):
         validate_tree(tree)
     with pytest.raises(TreeSchemaError, match=message):
         serialize_tree(tree)
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        ((0.0, 0.5), "cut dimension 0.0 is not an integer"),
+        ((True, 0.5), "cut dimension True is not an integer"),
+        ((np.int64(0), 0.5), "cut dimension .*0.* is not an integer"),
+        ((0, "0.5"), "cut threshold '0.5' is not a real number"),
+    ],
+    ids=["float-dimension", "boolean-dimension", "numpy-dimension", "string-threshold"],
+)
+def test_a_cut_must_be_an_integer_dimension_and_a_real_threshold(cut, message):
+    tree = PartitionTree(Internal((cut,), (-1,), _TWO_LEAVES), d=2, mode="binary", config={})
+    with pytest.raises(TreeSchemaError, match=message):
+        validate_tree(tree)
+    with pytest.raises(TreeSchemaError, match=message):
+        serialize_tree(tree)
+
+
+def test_the_depth_limit_holds_on_both_sides():
+    doc = serialize_tree(_chain(MAX_TREE_DEPTH))
+    assert tree_stats(deserialize_tree(doc)).max_depth == MAX_TREE_DEPTH
+    assert serialize_tree(deserialize_tree(doc)) == doc
+    with pytest.raises(TreeSchemaError, match="tree nested too deeply to serialize"):
+        serialize_tree(_chain(MAX_TREE_DEPTH + 1))
+    with pytest.raises(TreeSchemaError, match="document nested too deeply"):
+        deserialize_tree(nested_document(MAX_TREE_DEPTH + 1))
+
+
+def _called_deep(frames: int, fn, *args):
+    """fn(*args), called ``frames`` Python frames below this one."""
+    return fn(*args) if frames == 0 else _called_deep(frames - 1, fn, *args)
+
+
+def test_serialize_does_not_depend_on_the_callers_stack():
+    tree = _chain(60)
+    assert _called_deep(900, serialize_tree, tree) == serialize_tree(tree)
 
 
 def test_full_mode_arity_enforced_on_parse():

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,41 @@ def test_empirical_risk_of_bayes_rule_on_pure_noise():
     assert est.m == 100_000
     assert abs(est.mean - 0.5) <= 3 * est.std_error
     assert est.std_error == pytest.approx(math.sqrt(0.25 / 100_000), rel=0.05)
+
+
+def _one_draw_risk(predict, dist, m, seed):
+    """The estimate from one draw of all m pairs: X's m x d uniforms, then Y's m."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((m, dist.d))
+    Y = (rng.random(m) < dist.eta(X)).astype(np.int8)
+    p_hat = float((np.asarray(predict(X), dtype=np.int8) != Y).mean())
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / m)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_empirical_risk_in_chunks_equals_one_chunk(monkeypatch, d):
+    dist = get_distribution("d-lin", d=d)
+    tree = build_randomized(dist.sample(500, 3), RandomizedConfig(beta=0.5, seed=3))
+    m, seed = 1_000, 11
+    for predict in (tree_predictor(tree), bayes_predictor(dist), constant_predictor(1)):
+        whole = empirical_risk(predict, dist, m, seed)
+        assert (whole.mean, whole.std_error) == _one_draw_risk(predict, dist, m, seed)
+        monkeypatch.setattr("celltree.risklab._RISK_CHUNK_ROWS", 64)  # 1,000 is no multiple of 64
+        assert empirical_risk(predict, dist, m, seed) == whole
+        monkeypatch.undo()
+
+
+def test_empirical_risk_memory_is_bounded_by_the_chunk():
+    dist = get_distribution("d-lin", d=1)
+    m = 4_000_000  # one float64 array of m values is 32 MB
+    tracemalloc.start()
+    try:
+        est = empirical_risk(bayes_predictor(dist), dist, m, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.m == m and abs(est.mean - dist.bayes_risk) <= 3 * est.std_error
+    assert peak < 8 * m // 4
 
 
 def test_empirical_risk_of_constant_rule_on_checkerboard():
