@@ -572,7 +572,7 @@ def serialize_tree(tree: PartitionTree) -> str:
     head = json.dumps({"config": tree.config, "d": d, "mode": tree.mode},
                       sort_keys=True, separators=(",", ":"))
     parts = [head[:-1], ',"root":']
-    stack: list = [(tree.root, 0)]  # (node, depth), or text due once the children above it are out
+    stack: list = [(tree.root, 0)]  # (node, depth) to write, or text: a comma or a split's tail
     while stack:
         item = stack.pop()
         if isinstance(item, str):
