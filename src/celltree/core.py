@@ -56,16 +56,23 @@ class LabeledPoint:
             raise ValueError(f"label must be 0 or 1, got {self.y!r}")
 
 
+def _index_dtype(n: int) -> type:
+    """The integer dtype for point indices and ranks below ``n``: int32 below
+    2^31, which holds them all, and int64 from there on."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 class Dataset:
     """Immutable array-backed collection of labeled points.
 
     ``xs`` has shape (n, d) float64 and ``ys`` shape (n,) int8. Arrays are
     copied on construction and marked read-only, so views handed to builders
-    can never be mutated behind their back. ``ranks`` is the per-dimension
-    presort, built on first use and kept for the dataset's lifetime.
+    can never be mutated behind their back. Builders read ``_rank_table``,
+    the presort (4 * d * n bytes below 2^31 points), built on first use and
+    kept for the dataset's lifetime; the int64 ``ranks`` is built on request.
     """
 
-    __slots__ = ("xs", "ys", "_ranks")
+    __slots__ = ("xs", "ys", "_table", "_ranks")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
@@ -84,29 +91,44 @@ class Dataset:
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_ranks", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Dataset is immutable")
 
     @property
-    def ranks(self) -> np.ndarray:
-        """Read-only (d, n) int64 presort: point i's position in the strict
-        (value, index) order of each coordinate.
+    def _rank_table(self) -> np.ndarray:
+        """Read-only (d, n) presort in ``_index_dtype(n)``: point i's position
+        in the strict (value, index) order of each coordinate.
 
-        A stable argsort of a column realizes that order, so ``ranks[dim]``
-        is a permutation of 0..n-1 and comparing ranks compares points. All
-        d rows are built on first use, at 8 * d * n bytes, and kept. If a
-        caller's own threads race on the first use, each computes the same
-        array; one copy is kept.
+        A stable argsort of a column realizes that order, so each row is a
+        permutation of 0..n-1 and comparing ranks compares points. All d rows
+        are built on first use and kept. If a caller's own threads race on
+        the first use, each computes the same array; one copy is kept.
+        """
+        table = self._table
+        if table is None:
+            dtype = _index_dtype(self.n)
+            table = np.empty((self.d, self.n), dtype=dtype)
+            positions = np.arange(self.n, dtype=dtype)
+            for dim in range(self.d):
+                column = np.ascontiguousarray(self.xs[:, dim])
+                table[dim, np.argsort(column, kind="stable")] = positions
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)
+        return table
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """Read-only (d, n) int64 presort: the rank table's values, widened.
+
+        Built from the rank table on the first request, at 8 * d * n bytes,
+        and kept. No builder reads it.
         """
         ranks = self._ranks
         if ranks is None:
-            ranks = np.empty((self.d, self.n), dtype=np.int64)
-            positions = np.arange(self.n, dtype=np.int64)
-            for dim in range(self.d):
-                column = np.ascontiguousarray(self.xs[:, dim])
-                ranks[dim, np.argsort(column, kind="stable")] = positions
+            ranks = self._rank_table.astype(np.int64)
             ranks.flags.writeable = False
             object.__setattr__(self, "_ranks", ranks)
         return ranks
@@ -206,7 +228,7 @@ class DataView:
 
     def label_counts(self) -> tuple[int, int]:
         """(count of label 0, count of label 1) among the view's points."""
-        c1 = int(self.dataset.ys[self.indices].sum()) if self.n else 0
+        c1 = int(np.count_nonzero(self.dataset.ys[self.indices]))
         return self.n - c1, c1
 
     def subset(self, indices: np.ndarray) -> "DataView":
@@ -504,7 +526,11 @@ def _check_node(node: Node, d: int, arity: int | None) -> None:
             raise TreeSchemaError(f"cut dimension {dim!r} out of range 0..{d - 1}")
         if isinstance(thr, bool) or not isinstance(thr, _REAL_TYPES):
             raise TreeSchemaError(f"cut threshold {thr!r} is not a real number")
-        if not math.isfinite(thr):
+        try:
+            finite = math.isfinite(thr)
+        except OverflowError:  # an int beyond the float range: the reader's inf
+            finite = False
+        if not finite:
             raise TreeSchemaError("cut threshold must be finite")
 
 
@@ -548,8 +574,11 @@ _CONFIG_SCALARS = (str, int, float, bool, type(None))
 MAX_TREE_DEPTH = 400
 
 
-def _check_config(config) -> None:
-    """The config rule, read and write alike: strings to JSON scalars, finite floats."""
+def _check_head(d, config) -> None:
+    """The header rule, read and write alike: ``d`` a positive integer (not a
+    bool or a numpy integer), ``config`` strings to JSON scalars, finite floats."""
+    if not _is_int(d) or d < 1:
+        raise TreeSchemaError("d must be a positive integer")
     if not isinstance(config, dict) or not all(
         isinstance(k, str) and isinstance(v, _CONFIG_SCALARS) for k, v in config.items()
     ):
@@ -564,10 +593,11 @@ def serialize_tree(tree: PartitionTree) -> str:
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
     1-based on the wire. The nodes are written in one pass without recursion.
-    A tree that ``deserialize_tree`` would refuse (a node that breaks
-    ``_check_node``, or one deeper than ``MAX_TREE_DEPTH``) raises TreeSchemaError.
+    A tree that ``deserialize_tree`` would refuse (a ``d`` or config that
+    breaks ``_check_head``, a node that breaks ``_check_node``, or one deeper
+    than ``MAX_TREE_DEPTH``) raises TreeSchemaError.
     """
-    _check_config(tree.config)
+    _check_head(tree.d, tree.config)
     d, arity = tree.d, _node_arity(tree.mode, tree.d)
     head = json.dumps({"config": tree.config, "d": d, "mode": tree.mode},
                       sort_keys=True, separators=(",", ":"))
@@ -619,9 +649,7 @@ def deserialize_tree(text: str) -> PartitionTree:
     mode, d, config = doc["mode"], doc["d"], doc["config"]
     if mode not in ("binary", "full"):
         raise TreeSchemaError(f"unknown mode {mode!r}")
-    if not _is_int(d) or d < 1:
-        raise TreeSchemaError("d must be a positive integer")
-    _check_config(config)
+    _check_head(d, config)
     generations: list[list] = []
     level = [doc.pop("root")]
     while level:

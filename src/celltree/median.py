@@ -7,13 +7,17 @@ smaller than the parent, which is what guarantees termination no matter how
 degenerate the coordinates are.
 
 The kernel never sorts a cell. It compares the dataset's presorted ranks
-(``Dataset.ranks``), which encode the strict order of the whole dataset and
-therefore of every subset of it: a cell's own ranks order its own points
-exactly as sorting them would. Selecting the r-th smallest rank is a linear
-partition, and selecting the cell's ascending indices by rank keeps each child
-ascending without a sort (SLIQ/CART-style presorting). The selection uses
-``ndarray.compress``: it returns the same array as boolean indexing, which is
-3.5-4x slower (numpy 2.4) on a mask as unpredictable as a median cut's.
+(``Dataset._rank_table``, int32 below 2^31 points, 4 * d * n bytes), which
+encode the strict order of the whole dataset and therefore of every subset of
+it: a cell's own ranks order its own points exactly as sorting them would.
+The kernel gathers the cell's ranks in the cut dimension and selects the r-th
+smallest rank by value, with a linear ``np.partition`` on the narrow ranks
+rather than an ``argpartition`` that also permutes indices; since ranks are
+distinct, the one gathered entry equal to it locates the pivot. Selecting the
+cell's ascending indices by rank keeps each child ascending without a sort
+(SLIQ/CART-style presorting). The selection uses ``ndarray.compress``: it
+returns the same array as boolean indexing, which is 3.5-4x slower
+(numpy 2.4) on a mask as unpredictable as a median cut's.
 """
 from __future__ import annotations
 
@@ -53,11 +57,10 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
     if not 0 <= dim < dataset.d:
         raise ValueError(f"dimension {dim} out of range for d={dataset.d}")
     indices = view.indices
-    rk = dataset.ranks[dim][indices]
+    rk = dataset._rank_table[dim][indices]
     r = (n + 1) // 2
-    at = np.argpartition(rk, r - 1)[r - 1]
-    cut = rk[at]
-    pivot = int(indices[at])
+    cut = np.partition(rk, r - 1)[r - 1]
+    pivot = int(indices[(rk == cut).argmax()])  # ranks are distinct: one entry is cut
     return MedianSplit(
         dim=dim,
         pivot_index=pivot,

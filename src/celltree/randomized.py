@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Leaf, PartitionTree, classify, majority_label
+from .core import Dataset, Leaf, PartitionTree, _index_dtype, classify, majority_label
 from .median import median_split
 from .runtime import (
     _GOLDEN,
@@ -140,12 +140,12 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
     would give cell by cell. Clears ``frontier`` once its points are copied.
     """
     dataset = frontier[0].view.dataset
-    n, d, xs, ys, ranks = dataset.n, dataset.d, dataset.xs, dataset.ys, dataset.ranks
+    n, d, xs, ys, ranks = dataset.n, dataset.d, dataset.xs, dataset.ys, dataset._rank_table
     sizes = np.array([task.view.n for task in frontier], dtype=np.int64)
     seeds = np.array([task.seed & _MASK64 for task in frontier], dtype=np.uint64)
     points = np.concatenate(
         [task.view.indices for task in frontier],
-        dtype=np.int32 if n < 2**31 else np.int64,
+        dtype=_index_dtype(n),
         casting="same_kind",
     )
     frontier.clear()

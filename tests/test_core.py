@@ -32,7 +32,7 @@ from celltree import (
     tree_stats,
     validate_tree,
 )
-from celltree.core import MAX_TREE_DEPTH
+from celltree.core import MAX_TREE_DEPTH, _index_dtype
 from conftest import make_dataset
 
 
@@ -112,6 +112,36 @@ def test_detached_view_ranks_its_own_points(rng):
         assert np.array_equal(
             np.argsort(det.dataset.ranks[dim]), np.argsort(ds.ranks[dim][view.indices])
         )
+
+
+def test_the_rank_table_is_narrow_and_equals_ranks(rng):
+    ds = make_dataset(rng, 300, 3, dup_prob=1.0)
+    table = ds._rank_table
+    assert table.shape == (3, 300) and table.dtype == np.int32
+    assert not table.flags.writeable
+    assert ds._rank_table is table  # built once, then kept
+    assert ds._ranks is None  # the int64 ranks wait for a caller
+    assert np.array_equal(ds.ranks, table)
+    assert ds.ranks.dtype == np.int64 and ds._rank_table is table
+
+
+def test_the_index_dtype_widens_at_two_to_the_31():
+    assert _index_dtype(0) is np.int32
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
+
+
+@pytest.mark.parametrize("algo", ["randomized", "lookahead"])
+def test_builders_read_only_the_narrow_rank_table(algo, rng):
+    xs = np.round(rng.random((3000, 2)) * 64) / 64
+    ds = Dataset(xs, ((xs[:, 0] < 0.5) ^ (xs[:, 1] < 0.5)).astype(np.int8))  # a checkerboard
+    if algo == "randomized":
+        tree = build_randomized(ds, RandomizedConfig(beta=0.99, seed=11))
+    else:
+        tree = build_lookahead(ds, LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=11))
+    assert tree_stats(tree).internals > 0
+    assert ds._table is not None and ds._table.dtype == np.int32
+    assert ds._ranks is None
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +525,22 @@ def _called_deep(frames: int, fn, *args):
 def test_serialize_does_not_depend_on_the_callers_stack():
     tree = _chain(60)
     assert _called_deep(900, serialize_tree, tree) == serialize_tree(tree)
+
+
+@pytest.mark.parametrize("d", [np.int64(1), True, 1.0], ids=["numpy-d", "boolean-d", "float-d"])
+def test_serialize_refuses_a_d_the_reader_refuses(d):
+    tree = PartitionTree(Leaf(1, 0), d=d, mode="binary", config={})
+    with pytest.raises(TreeSchemaError, match="d must be a positive integer"):
+        serialize_tree(tree)
+
+
+def test_a_threshold_beyond_the_float_range_is_not_finite():
+    tree = PartitionTree(Internal(((0, 10**400),), (-1,), _TWO_LEAVES), d=1, mode="binary",
+                         config={})
+    with pytest.raises(TreeSchemaError, match="cut threshold must be finite"):
+        validate_tree(tree)
+    with pytest.raises(TreeSchemaError, match="cut threshold must be finite"):
+        serialize_tree(tree)
 
 
 def test_full_mode_arity_enforced_on_parse():

@@ -294,3 +294,29 @@ def test_route_on_equivalent_partition_tree_reaches_located_leaf(rng):
             leaf, depth = route(tree, x)
             assert depth == k
             assert leaf is leaves[locate_leaf(full, x)]
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=4, max_value=300)),
+    st.sampled_from([1, 2, 4, 16]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_median_split_matches_the_index_select_reference(d, n, grid, seed):
+    # the value select on the narrow rank table picks the pivot, threshold
+    # and children that an argpartition on the int64 ranks picks
+    rng = np.random.default_rng(seed)
+    xs = np.floor(rng.random((n + 5, d)) * grid) / grid  # grid-tied coordinates
+    ds = Dataset(xs, (rng.random(n + 5) < 0.5).astype(np.int8))
+    view = DataView(ds, np.sort(rng.choice(n + 5, size=n, replace=False)))
+    indices = view.indices
+    r = (n + 1) // 2
+    for dim in range(d):
+        rk = ds.ranks[dim][indices]
+        at = np.argpartition(rk, r - 1)[r - 1]
+        cut = median_split(view, dim)
+        assert cut.pivot_index == indices[at]
+        assert cut.threshold == ds.xs[indices[at], dim]
+        assert np.array_equal(cut.low.indices, indices[rk < rk[at]])
+        assert np.array_equal(cut.high.indices, indices[rk > rk[at]])
