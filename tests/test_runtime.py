@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -318,3 +319,30 @@ def test_decision_fingerprint_ignores_indices(rng):
     original = decide(view, 77)
     detached = decide(view.detach(), 77)
     assert decision_fingerprint(original) == decision_fingerprint(detached)
+
+
+def _pinned_trace_data() -> Dataset:
+    """3,000 points on a 1/64 grid (many ties), labels x1 > 0.5 with 20% flips."""
+    rng = np.random.default_rng(7)
+    xs = np.round(rng.random((3000, 2)) * 64) / 64
+    ys = ((xs[:, 0] > 0.5) ^ (rng.random(3000) < 0.2)).astype(np.int8)
+    return Dataset(xs, ys)
+
+
+@pytest.mark.parametrize(
+    "algo, records, digest",
+    [
+        ("randomized", 455, "779efdcfdf80c6ef6df5de0393d14070f33b98db24ff56043417a8e9742a32b0"),
+        ("lookahead", 5, "54410411c7158aa96feb8d907ab5b334d6d604f88de562eb272a5179893b355f"),
+    ],
+)
+def test_trace_lines_are_pinned(algo, records, digest):
+    # the SHA-256 of every trace line, input hashes included, for one fixed build
+    data = _pinned_trace_data()
+    trace = BuildTrace()
+    if algo == "randomized":
+        build_randomized(data, RandomizedConfig(beta=0.99, seed=0), trace=trace)
+    else:
+        build_lookahead(data, LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=3), trace=trace)
+    assert len(trace.records) == records
+    assert hashlib.sha256("\n".join(trace.lines()).encode()).hexdigest() == digest
