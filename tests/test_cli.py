@@ -505,3 +505,32 @@ def test_bench_risk_csv_bytes_are_pinned(tmp_path, capsys, flags, sha256):
     code, _, _ = run(capsys, "bench", *flags, "--seed", "5", "--out", out)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+_INSPECT_ROOT = (
+    '{"children":[{"count0":2,"count1":0},{"children":[{"count0":0,"count1":1},'
+    '{"count0":0,"count1":0}],"eaten":1,"splits":[[2,0.25]]}],"eaten":1,"splits":[[1,0.5]]}'
+)
+_INSPECT_BODY = (
+    "nodes=5 internals=2 leaves=3 max_depth=2\n"
+    "leaf_points=3 eaten=2 depth_hist=1:1,2:2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config, conservation, exit_code",
+    [
+        ('{"algo":"randomized","n":5}', "pass", 0),
+        ('{"algo":"randomized","n":6}', "fail", 4),
+        ('{"algo":"randomized"}', "unknown", 0),
+    ],
+    ids=["conserving", "n-off-by-one", "no-n"],
+)
+def test_inspect_reads_conservation_from_its_stats(tmp_path, capsys, config, conservation, exit_code):
+    path = tmp_path / "tree.json"
+    path.write_text('{"config":' + config + ',"d":2,"mode":"binary","root":' + _INSPECT_ROOT + "}")
+    code, stdout, stderr = run(capsys, "inspect", "--tree", path)
+    echo = json.dumps(json.loads(config), sort_keys=True)
+    assert code == exit_code and stderr == ""
+    assert stdout == (f"mode=binary d=2 config={echo}\n" + _INSPECT_BODY
+                      + f"conservation={conservation}\n")

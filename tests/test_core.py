@@ -32,6 +32,7 @@ from celltree import (
     tree_stats,
     validate_tree,
 )
+from celltree import core
 from celltree.core import MAX_TREE_DEPTH, _index_dtype
 from conftest import make_dataset
 
@@ -619,3 +620,85 @@ def test_load_csv_rejects_undecodable_bytes(tmp_path):
     p.write_bytes(b"\xff\xfe" + "x1,y\n0.5,1\n".encode("utf-16-le"))
     with pytest.raises(DatasetFormatError, match="UTF-8"):
         load_csv(p)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [[256, 1], [257.0, 0.0], [0.5, 1.0], [-255, 0], [math.nan, 1.0]],
+    ids=["256", "257.0", "0.5", "-255", "nan"],
+)
+def test_dataset_checks_labels_before_the_int8_cast(ys):
+    for labels in (ys, np.array(ys)):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            Dataset(np.zeros((2, 1)), labels)
+    for good in ([0, 1], [0.0, 1.0], [False, True], np.array([0, 1], dtype=np.uint8)):
+        assert Dataset(np.zeros((2, 1)), good).ys.tolist() == [0, 1]
+
+
+def _owned_copy_of(array, source):
+    return (array.base is None and not array.flags.writeable and array.flags.c_contiguous
+            and np.array_equal(array, source))
+
+
+def test_dataset_and_view_hold_one_owned_read_only_copy():
+    table = np.arange(12, dtype=np.float64).reshape(4, 3) % 2
+    xs, ys = table[:, :-1], table[:, -1]  # the non-contiguous slices load_csv passes
+    ds = Dataset(xs, ys)
+    assert ds.ys.dtype == np.int8 and ds.xs.dtype == np.float64
+    assert _owned_copy_of(ds.xs, xs) and _owned_copy_of(ds.ys, ys)
+    view = DataView(ds, [0, 2, 3])
+    assert view.indices.dtype == np.int64 and _owned_copy_of(view.indices, [0, 2, 3])
+    one = Dataset(np.array([[0.5, 0.25]]), np.array(1))  # a 0-d label is one row's
+    assert one.ys.tolist() == [1] and _owned_copy_of(one.ys, [1])
+    assert DataView(ds, 2).indices.tolist() == [2] and _owned_copy_of(DataView(ds, 2).indices, [2])
+    with pytest.raises(ValueError, match="xs must have shape"):
+        Dataset(np.float64(0.5), np.array(1))
+
+
+def test_a_bad_leaf_is_refused_before_the_tree_is_assembled(monkeypatch):
+    def assemble(generations):
+        raise AssertionError("_assemble ran on a document with a bad leaf")
+
+    monkeypatch.setattr(core, "_assemble", assemble)
+    doc = ('{"config":{},"d":1,"mode":"binary","root":{"children":[{"count0":-1,"count1":0},'
+           '{"count0":0,"count1":1}],"eaten":1,"splits":[[1,0.5]]}}')
+    with pytest.raises(TreeSchemaError, match="leaf counts must be nonnegative integers"):
+        deserialize_tree(doc)
+
+
+def _three_deep(bad: str) -> str:
+    """A binary d = 2 document whose node three splits below the root is ``bad``."""
+    leaf = '{"count0":1,"count1":0}'
+    node = bad
+    for dim in (2, 1, 2):
+        node = '{"children":[' + leaf + "," + node + '],"eaten":1,"splits":[[' + str(dim) + ",0.5]]}"
+    return '{"config":{},"d":2,"mode":"binary","root":' + node + "}"
+
+
+_LEAF = '{"count0":0,"count1":1}'
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ('{"count0":-1,"count1":0}', "leaf counts must be nonnegative integers"),
+        ('{"children":[' + ",".join([_LEAF] * 3) + '],"eaten":1,"splits":[[1,0.5]]}',
+         "internal node has 3 children, expected 2"),
+        ('{"children":[' + _LEAF + "," + _LEAF + '],"eaten":2,"splits":[[1,0.5],[2,0.5]]}',
+         "internal node has 2 cuts, expected 1"),
+        ('{"children":[' + _LEAF + "," + _LEAF + '],"eaten":2,"splits":[[1,0.5]]}',
+         "eaten pivot count must equal cut count"),
+        ('{"children":[' + _LEAF + "," + _LEAF + '],"eaten":1,"splits":[[1,1' + "0" * 400 + "]]}",
+         "cut threshold must be finite"),
+        ('{"children":[' + _LEAF + "," + _LEAF + '],"eaten":1,"splits":[[3,0.5]]}',
+         r"cut must be \[dim, threshold\] with dim in 1..2"),
+        ('{"children":[' + _LEAF + "," + _LEAF + '],"eaten":1,"splits":[[true,0.5]]}',
+         r"cut must be \[dim, threshold\] with dim in 1..2"),
+    ],
+    ids=["leaf-count", "arity", "cut-count", "eaten-count", "non-finite-threshold",
+         "wire-dimension-out-of-range", "wire-dimension-true"],
+)
+def test_a_bad_node_three_levels_down_is_refused(bad, message):
+    assert tree_stats(deserialize_tree(_three_deep(_LEAF))).max_depth == 3
+    with pytest.raises(TreeSchemaError, match=message):
+        deserialize_tree(_three_deep(bad))
