@@ -676,9 +676,9 @@ def deserialize_tree(text: str) -> PartitionTree:
                         cuts.append((cut[0] - 1, float(cut[1])))
                     except OverflowError:  # an integer literal beyond the float range
                         cuts.append((cut[0] - 1, math.inf))
-                # pivot identities are not on the wire; -1 marks an unknown index. A
-                # count beyond the cuts stays one too many, which _check_node refuses.
-                cell = (tuple(cuts), (-1,) * min(eaten, len(cuts) + 1), len(children))
+                # pivot identities are not on the wire; -1 marks an unknown index. A count
+                # beyond the cuts stays one too many, a negative one none: _check_node refuses both.
+                cell = (tuple(cuts), (-1,) * min(max(eaten, 0), len(cuts) + 1), len(children))
                 below += children
             else:
                 raise TreeSchemaError("node must be a leaf or split object")
