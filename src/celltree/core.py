@@ -20,6 +20,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, Sequence, Union
 
@@ -321,7 +322,8 @@ class PartitionTree:
 
     ``mode`` is "binary" (one cut per level) or "full" (2^d children per
     level). ``config`` echoes the build parameters and training size; it is
-    carried verbatim into the serialized document.
+    carried verbatim into the serialized document. ``_cuts``, the one checked
+    cut table, is kept from its first use; every reader but ``route`` reads it.
     """
 
     root: Node
@@ -334,6 +336,10 @@ class PartitionTree:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+
+    @cached_property
+    def _cuts(self) -> _CutTable:
+        return _cut_table(self.root, self.d, _node_arity(self.mode, self.d))
 
 
 def _node_arity(mode: str, d: int) -> int | None:
@@ -375,13 +381,18 @@ def classify(tree: PartitionTree, x: Sequence[float]) -> int:
 
 @dataclass(frozen=True)
 class _CutTable:
-    """A tree's flat binary cut table: each node's 2^L - 1 heap-ordered cuts
-    as rows of their own, row r's low and high targets at ``child[2r]`` and
-    ``child[2r + 1]``; a target t < 0 is leaf ~t. ``root`` is the root's
-    target, ``leaves`` and ``depths`` list the leaves left to right."""
+    """A tree's flat binary cut table: each node's 2^L - 1 heap-ordered cuts as
+    rows of their own, nodes in pre-order, row r's low and high targets at
+    ``child[2r]`` and ``child[2r + 1]``; a target t < 0 is leaf ~t, any other
+    a node's first row b, whose ``arity`` children are the targets
+    ``child[2b + w - 1 : 2(b + w)]``, w = arity - 1. ``root`` is the root's
+    target; ``leaves``, their int8 ``labels`` (ties to 0) and ``depths`` list
+    the leaves left to right."""
 
     d: int
+    arity: int | None
     leaves: list[Leaf]
+    labels: np.ndarray
     depths: np.ndarray
     dim_of: np.ndarray
     thr_of: np.ndarray
@@ -409,34 +420,41 @@ class _CutTable:
         return ~at
 
 
-def _cut_table(tree: PartitionTree) -> _CutTable:
-    """The tree's cut table, written in one pass without recursion."""
+def _cut_table(root: Node, d: int, arity: int | None) -> _CutTable:
+    """The cut table of the tree under ``root``, in one pass without recursion,
+    left first: the one walk of built nodes but ``route``'s. Each node is checked
+    by ``_check_node`` when reached, and a value that is no node is refused."""
     leaves: list[Leaf] = []
     depths: list[int] = []
     cuts: list[tuple[int, float]] = []
     targets = [0]  # the root's target, then row r's low and high at 2r + 1, 2r + 2
-    stack: list[tuple[Node, int, int]] = [(tree.root, 0, 0)]  # node, depth, its target's slot
+    stack: list[tuple[Node, int, int]] = [(root, 0, 0)]  # node, depth, its target's slot
     while stack:
         node, depth, slot = stack.pop()
         if isinstance(node, Leaf):
+            _check_node(node, d, arity)
             targets[slot] = ~len(leaves)
             leaves.append(node)
             depths.append(depth)
             continue
+        if not isinstance(node, Internal):
+            raise TreeSchemaError(f"node must be a Leaf or an Internal, not {type(node).__name__}")
+        _check_node((node.splits, node.eaten, len(node.children)), d, arity)
         base = targets[slot] = len(cuts)
         cuts += node.splits
-        width = len(node.splits) + 1
-        targets.extend(range(base + 1, base + width - 1))  # row h leads to rows 2h+1, 2h+2
+        targets.extend(range(base + 1, base + arity - 1))  # row h leads to rows 2h+1, 2h+2
         first = len(targets)  # the last level's targets are the children, in order
-        targets.extend([0] * width)
-        stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(width)))
-    table = np.array(cuts, dtype=np.float64).reshape(-1, 2)
+        targets.extend([0] * arity)
+        stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(arity)))
+    table = np.array(cuts, dtype=object).reshape(-1, 2)  # exact dims, whatever their size
     return _CutTable(
-        d=tree.d,
+        d=d,
+        arity=arity,
         leaves=leaves,
+        labels=np.array([leaf.count1 > leaf.count0 for leaf in leaves], dtype=np.int8),
         depths=np.array(depths, dtype=np.int64),
-        dim_of=table[:, 0].astype(np.int64),
-        thr_of=table[:, 1],
+        dim_of=table[:, 0].astype(np.int64 if d < 2**63 else object),  # a wider d meets no query
+        thr_of=table[:, 1].astype(np.float64),
         child=np.array(targets[1:], dtype=np.int64),
         root=targets[0],
     )
@@ -445,18 +463,15 @@ def _cut_table(tree: PartitionTree) -> _CutTable:
 def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
     """Batch routing: the leaves left to right, their depths, and each query
     row's leaf index (int64). Raises ValueError where ``route`` does."""
-    table = _cut_table(tree)
-    return table.leaves, table.depths, table.leaf_of(X)
+    return tree._cuts.leaves, tree._cuts.depths, tree._cuts.leaf_of(X)
 
 
 def predict_batch(tree: PartitionTree, X: np.ndarray) -> np.ndarray:
-    leaves, _, leaf_of = _leaf_routes(tree, X)
-    return np.array([leaf.label for leaf in leaves], dtype=np.int8)[leaf_of]
+    return tree._cuts.labels[tree._cuts.leaf_of(X)]
 
 
 def route_depths(tree: PartitionTree, X: np.ndarray) -> np.ndarray:
-    depths, leaf_of = _leaf_routes(tree, X)[1:]
-    return depths[leaf_of]
+    return tree._cuts.depths[tree._cuts.leaf_of(X)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +490,16 @@ class TreeStats:
 
 
 def tree_stats(tree: PartitionTree) -> TreeStats:
-    nodes = internals = leaves = leaf_points = eaten = 0
-    max_depth = 0
-    hist: dict[int, int] = {}
-    stack: list[tuple[Node, int]] = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        nodes += 1
-        max_depth = max(max_depth, depth)
-        if isinstance(node, Leaf):
-            leaves += 1
-            leaf_points += node.count0 + node.count1
-            hist[depth] = hist.get(depth, 0) + 1
-        else:
-            internals += 1
-            eaten += len(node.eaten)
-            stack.extend((c, depth + 1) for c in node.children)
-    return TreeStats(nodes, internals, leaves, max_depth, leaf_points, eaten, hist)
+    """Counts read from the tree's cut table, which has checked every node:
+    one eaten pivot per cut row, leaf points summed in Python ints, depths
+    those of the leaves."""
+    table = tree._cuts
+    rows, leaves = len(table.thr_of), len(table.leaves)
+    internals = rows // (table.arity - 1) if rows else 0
+    depths, counts = np.unique(table.depths, return_counts=True)
+    return TreeStats(internals + leaves, internals, leaves, int(depths[-1]),
+                     sum(leaf.count0 + leaf.count1 for leaf in table.leaves), rows,
+                     dict(zip(depths.tolist(), counts.tolist())))
 
 
 # the threshold types _check_node takes as real numbers; a bool is refused apart
@@ -499,19 +507,18 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def _check_node(node, d: int, arity: int | None) -> None:
-    """The one per-node rule, of ``validate_tree``, the writer and the reader:
-    nonnegative integer leaf counts; ``arity`` children (``_node_arity``), one
-    cut fewer and one eaten pivot per cut; each cut an integer dimension in
-    0..d-1 (not a bool) and a finite real threshold (not a bool). A node is a
-    ``Leaf``, an ``Internal`` or the reader's (splits, eaten, arity) record."""
+    """The one per-node rule, of the reader and the cut table: nonnegative
+    integer leaf counts; ``arity`` children (``_node_arity``), one cut fewer
+    and one eaten pivot per cut; each cut a (dimension, threshold) pair, an
+    integer dimension in 0..d-1 (not a bool) and a finite real threshold (not
+    a bool). A node is a ``Leaf`` or a split's (splits, eaten, arity) record."""
     if isinstance(node, Leaf):
         c0, c1 = node.count0, node.count1  # _is_int spelt out: most nodes are leaves
         if not (isinstance(c0, int) and isinstance(c1, int)) or isinstance(c0, bool) \
                 or isinstance(c1, bool) or c0 < 0 or c1 < 0:
             raise TreeSchemaError("leaf counts must be nonnegative integers")
         return
-    splits, eaten, count = (
-        (node.splits, node.eaten, len(node.children)) if isinstance(node, Internal) else node)
+    splits, eaten, count = node
     if count != arity:
         expected = f"2^{d}" if arity is None else arity
         raise TreeSchemaError(f"internal node has {count} children, expected {expected}")
@@ -519,7 +526,10 @@ def _check_node(node, d: int, arity: int | None) -> None:
         raise TreeSchemaError(f"internal node has {len(splits)} cuts, expected {arity - 1}")
     if len(eaten) != len(splits):
         raise TreeSchemaError("eaten pivot count must equal cut count")
-    for dim, thr in splits:
+    for cut in splits:
+        if not (isinstance(cut, (tuple, list)) and len(cut) == 2):
+            raise TreeSchemaError(f"cut {cut!r} is not a (dimension, threshold) pair")
+        dim, thr = cut
         if not _is_int(dim):
             raise TreeSchemaError(f"cut dimension {dim!r} is not an integer")
         if not 0 <= dim < d:
@@ -535,21 +545,11 @@ def _check_node(node, d: int, arity: int | None) -> None:
 
 
 def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
-    """Check structural invariants; returns stats on success.
-
-    Checks every node, top-down without recursion, by the per-node rule of
-    ``_check_node`` and, when the training size ``n`` is known (argument or
-    ``config["n"]``), conservation: every training point is counted in
-    exactly one leaf or eaten as a pivot. ``deserialize_tree`` has already
-    checked the nodes of the trees it returns.
+    """``tree_stats``, whose cut table checks every node, left first, by
+    ``_check_node``, and conservation when the training size ``n`` is known
+    (argument or ``config["n"]``): every training point is counted in exactly
+    one leaf or eaten as a pivot.
     """
-    arity = _node_arity(tree.mode, tree.d)
-    stack: list[Node] = [tree.root]
-    while stack:
-        node = stack.pop()
-        _check_node(node, tree.d, arity)
-        if isinstance(node, Internal):
-            stack.extend(node.children)
     stats = tree_stats(tree)
     if n is None and _is_int(tree.config.get("n")):
         n = tree.config["n"]
@@ -590,35 +590,36 @@ def serialize_tree(tree: PartitionTree) -> str:
 
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
-    1-based on the wire. The nodes are written in one pass without recursion.
-    A tree that ``deserialize_tree`` would refuse (a ``d`` or config that
-    breaks ``_check_head``, a node that breaks ``_check_node``, or one deeper
-    than ``MAX_TREE_DEPTH``) raises TreeSchemaError.
+    1-based on the wire. The header is checked by ``_check_head``, then the
+    nodes are written from the tree's cut table, which has checked each by
+    ``_check_node``, in one pass without recursion. A tree that
+    ``deserialize_tree`` would refuse, one deeper than ``MAX_TREE_DEPTH``
+    among them, raises TreeSchemaError.
     """
     _check_head(tree.d, tree.config)
-    d, arity = tree.d, _node_arity(tree.mode, tree.d)
-    head = json.dumps({"config": tree.config, "d": d, "mode": tree.mode},
+    table = tree._cuts
+    if table.depths.max() > MAX_TREE_DEPTH:
+        raise TreeSchemaError("tree nested too deeply to serialize")
+    head = json.dumps({"config": tree.config, "d": tree.d, "mode": tree.mode},
                       sort_keys=True, separators=(",", ":"))
+    cuts = ["[%d,%r]" % cut for cut in zip((table.dim_of + 1).tolist(), table.thr_of.tolist())]
+    child = table.child.tolist()
     parts = [head[:-1], ',"root":']
-    stack: list = [(tree.root, 0)]  # (node, depth) to write, or text: a comma or a split's tail
+    stack: list = [table.root]  # targets to write, or text: a comma or a split's tail
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-            continue
-        node, depth = item
-        _check_node(node, d, arity)
-        if isinstance(node, Leaf):
-            parts.append('{"count0":%d,"count1":%d}' % (node.count0, node.count1))
-            continue
-        if depth == MAX_TREE_DEPTH:
-            raise TreeSchemaError("tree nested too deeply to serialize")
-        cuts = ",".join(["[%d,%r]" % (dim + 1, float(thr)) for dim, thr in node.splits])
-        parts.append('{"children":[')
-        stack.append('],"eaten":%d,"splits":[%s]}' % (len(node.eaten), cuts))
-        for child in reversed(node.children):
-            stack += (child, depth + 1), ","
-        stack.pop()  # no comma before the first child
+        elif item < 0:
+            leaf = table.leaves[~item]
+            parts.append('{"count0":%d,"count1":%d}' % (leaf.count0, leaf.count1))
+        else:
+            w = table.arity - 1
+            parts.append('{"children":[')
+            stack.append('],"eaten":%d,"splits":[%s]}' % (w, ",".join(cuts[item:item + w])))
+            for target in reversed(child[2 * item + w - 1:2 * (item + w)]):
+                stack += target, ","
+            stack.pop()  # no comma before the first child
     parts.append("}\n")
     return "".join(parts)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, Leaf, PartitionTree, _assemble, _cut_table, _CutTable, strict_rank  # noqa: F401
+from .core import DataView, Leaf, PartitionTree, _assemble, _CutTable, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class FullTree:
     @cached_property
     def _cuts(self) -> _CutTable:
         """The cut table of ``_partition_tree(self)``, built on first use."""
-        return _cut_table(_partition_tree(self))
+        return _partition_tree(self)._cuts
 
 
 def build_full_tree(view: DataView, k: int) -> FullTree:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, _cut_table, _leaf_routes, route_depths
+from .core import Dataset, PartitionTree, _leaf_routes, predict_batch, route_depths
 from .lookahead import LookaheadConfig, build_lookahead
 from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
@@ -96,10 +96,8 @@ def bayes_predictor(dist: SyntheticDistribution) -> Callable[[np.ndarray], np.nd
 
 
 def tree_predictor(tree: PartitionTree) -> Callable[[np.ndarray], np.ndarray]:
-    """``predict_batch`` for one tree, whose cut table is built once for every batch."""
-    table = _cut_table(tree)
-    labels = np.array([leaf.label for leaf in table.leaves], dtype=np.int8)
-    return lambda X: labels[table.leaf_of(X)]
+    """``predict_batch`` for one tree, whose kept cut table serves every batch."""
+    return functools.partial(predict_batch, tree)
 
 
 def constant_predictor(label: int) -> Callable[[np.ndarray], np.ndarray]:

@@ -2,6 +2,7 @@
 a tree that writes and reads back to the same bytes, and the CLI ends every
 such document with a documented exit code, never a traceback."""
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -13,13 +14,19 @@ from hypothesis import strategies as st
 
 from celltree import (
     Dataset,
+    Internal,
+    Leaf,
     LookaheadConfig,
+    PartitionTree,
     RandomizedConfig,
     TreeSchemaError,
     build_lookahead,
     build_randomized,
     deserialize_tree,
+    predict_batch,
     serialize_tree,
+    tree_stats,
+    validate_tree,
 )
 from celltree.cli import main
 
@@ -143,3 +150,76 @@ def test_the_cli_ends_a_mutated_document_with_a_documented_exit_code(case, doc_p
     assert code == 4 if tree is None else code in (0, 4)
     code, _ = _cli("eval", "--tree", doc_path, "--dist", "d-lin", "--dim", d, "--m", 64)
     assert code == (4 if tree is None else 0 if tree.d == d else 2)
+
+
+def _binary_tree() -> PartitionTree:
+    inner = Internal(((1, 0.25),), (-1,), (Leaf(1, 0), Leaf(0, 2)))
+    return PartitionTree(Internal(((0, 0.5),), (-1,), (inner, Leaf(3, 1))), d=2, mode="binary",
+                         config={"n": 9})
+
+
+def _full_tree() -> PartitionTree:
+    inner = Internal(((0, 0.3), (1, 0.1), (1, 0.9)), (-1,) * 3, (Leaf(0, 1),) * 4)
+    root = Internal(((0, 0.5), (1, 0.25), (1, 0.75)), (-1,) * 3,
+                    (Leaf(1, 0), inner, Leaf(2, 2), Leaf(0, 0)))
+    return PartitionTree(root, d=2, mode="full", config={"n": 14})
+
+
+# values that are not nodes: the reader's (splits, eaten, arity) record among them
+_NOT_NODES = [7, None, "leaf", np.int64(3), np.float64(0.5), (((0, 0.5),), (-1,), 2),
+              [Leaf(1, 0), Leaf(0, 1)]]
+_NOT_CUTS = [(0.5,), (0, 0.5, 1), 0.5]
+
+
+def _slots(node, path=()):
+    """The child-index path of every node slot under ``node``, the root's () first."""
+    yield path
+    if isinstance(node, Internal):
+        for j, child in enumerate(node.children):
+            yield from _slots(child, path + (j,))
+
+
+def _replaced(node, path, change):
+    """``node`` with the node at ``path`` replaced by ``change(that node)``."""
+    if not path:
+        return change(node)
+    children = list(node.children)
+    children[path[0]] = _replaced(children[path[0]], path[1:], change)
+    return dataclasses.replace(node, children=tuple(children))
+
+
+@st.composite
+def _hand_built(draw) -> tuple[PartitionTree, bool]:
+    """A hand-built tree with one slot or one cut replaced, and whether the
+    result breaks the node rule: a cut written as a list pair is still valid."""
+    tree = draw(st.sampled_from([_binary_tree(), _full_tree()]))
+    path = draw(st.sampled_from(list(_slots(tree.root))))
+    target = functools.reduce(lambda node, j: node.children[j], path, tree.root)
+    if isinstance(target, Internal) and draw(st.booleans()):
+        at = draw(st.integers(0, len(target.splits) - 1))
+        cut = draw(st.sampled_from(_NOT_CUTS + [list(target.splits[at])]))
+
+        def change(node):
+            return dataclasses.replace(node, splits=node.splits[:at] + (cut,) + node.splits[at + 1:])
+        hostile = not isinstance(cut, list)
+    else:
+        value = draw(st.sampled_from(_NOT_NODES))
+
+        def change(node):
+            return value
+        hostile = True
+    return dataclasses.replace(tree, root=_replaced(tree.root, path, change)), hostile
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_hand_built())
+def test_every_reader_of_a_hand_built_tree_refuses_a_broken_node(case):
+    tree, hostile = case
+    if not hostile:
+        out = serialize_tree(tree)
+        assert deserialize_tree(out) is not None and serialize_tree(deserialize_tree(out)) == out
+        return
+    for consumer in (serialize_tree, validate_tree, tree_stats,
+                     lambda t: predict_batch(t, np.full((3, t.d), 0.4))):
+        with pytest.raises(TreeSchemaError):
+            consumer(tree)

@@ -6,6 +6,8 @@ shape, and on queries that hit thresholds exactly or lie outside the unit
 cube. ``locate_leaf`` must put every training point into the leaf cell whose
 view holds it.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,14 @@ from celltree import (
     build_full_tree,
     build_lookahead,
     build_randomized,
+    deserialize_tree,
     locate_leaf,
     predict_batch,
     route,
     route_depths,
+    serialize_tree,
+    tree_stats,
+    validate_tree,
 )
 
 # admissible with beta = 0.2 in each d
@@ -113,6 +119,26 @@ def test_chain_depths_reach_the_bottom():
     X = np.array([[0.25], [0.5], [7.0], [-3.0]])
     assert route_depths(tree, X).tolist() == [2999, 1, 1, 2999]
     assert predict_batch(tree, X).tolist() == [0, 1, 1, 0]
+
+
+def test_a_tree_builds_its_cut_table_once(monkeypatch, rng):
+    from celltree import core
+
+    tables = []
+    build = core._cut_table
+    monkeypatch.setattr(core, "_cut_table", lambda *args: tables.append(args) or build(*args))
+    xs = rng.random((500, 2))
+    tree = build_randomized(Dataset(xs, (xs[:, 0] < 0.5).astype(np.int8)), RandomizedConfig(0.9))
+    labels = predict_batch(tree, xs)
+    assert predict_batch(tree, xs).tolist() == labels.tolist()
+    route_depths(tree, xs)
+    assert tree_stats(tree) == validate_tree(tree)
+    doc = serialize_tree(tree)
+    assert len(tables) == 1
+    # a replaced tree builds a table of its own; a read one writes its document back
+    other = dataclasses.replace(tree, config={})
+    assert predict_batch(other, xs).tolist() == labels.tolist() and len(tables) == 2
+    assert serialize_tree(deserialize_tree(doc)) == doc and len(tables) == 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
