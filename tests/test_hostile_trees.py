@@ -223,3 +223,14 @@ def test_every_reader_of_a_hand_built_tree_refuses_a_broken_node(case):
                      lambda t: predict_batch(t, np.full((3, t.d), 0.4))):
         with pytest.raises(TreeSchemaError):
             consumer(tree)
+
+
+def test_a_cut_dimension_beyond_int64_reads_and_writes_back(tmp_path):
+    dim = 2**64 + 1  # 1-based, in a tree of d = 2^64 + 1: no query can be routed
+    doc = ('{"config":{},"d":%d,"mode":"binary","root":{"children":[{"count0":1,"count1":0},'
+           '{"count0":0,"count1":1}],"eaten":1,"splits":[[%d,0.5]]}}\n' % (dim, dim))
+    tree = deserialize_tree(doc)
+    assert serialize_tree(tree) == doc and tree_stats(tree).eaten == 1
+    path = tmp_path / "wide.json"
+    path.write_text(doc, encoding="utf-8")
+    assert _cli("inspect", "--tree", path) == (0, "")
