@@ -446,15 +446,15 @@ def _cut_table(root: Node, d: int, arity: int | None) -> _CutTable:
         first = len(targets)  # the last level's targets are the children, in order
         targets.extend([0] * arity)
         stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(arity)))
-    table = np.array(cuts, dtype=object).reshape(-1, 2)  # exact dims, whatever their size
+    dims, thrs = zip(*cuts) if cuts else ((), ())
     return _CutTable(
         d=d,
         arity=arity,
         leaves=leaves,
         labels=np.array([leaf.count1 > leaf.count0 for leaf in leaves], dtype=np.int8),
         depths=np.array(depths, dtype=np.int64),
-        dim_of=table[:, 0].astype(np.int64 if d < 2**63 else object),  # a wider d meets no query
-        thr_of=table[:, 1].astype(np.float64),
+        dim_of=np.array(dims, dtype=np.int64 if d < 2**63 else object),  # a wider d meets no query
+        thr_of=np.array(thrs, dtype=np.float64),
         child=np.array(targets[1:], dtype=np.int64),
         root=targets[0],
     )
