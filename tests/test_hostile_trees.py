@@ -85,8 +85,12 @@ _MARK = "@@hostile@@"
 
 def _paths(value, path=()):
     """The path of every value inside a parsed document, the document itself excluded."""
-    items = value.items() if isinstance(value, dict) else enumerate(value) \
-        if isinstance(value, list) else ()
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
     for key, inner in items:
         yield path + (key,)
         yield from _paths(inner, path + (key,))
