@@ -344,3 +344,29 @@ def test_kernel_decides_a_mid_build_frontier_as_the_per_cell_build():
     # some cells stop at once and most split
     assert 20 < sum(isinstance(node, Internal) for node in reference) < 41
     assert repr(kernel) == repr(reference)
+
+
+def _per_cell_build(data: Dataset, config: RandomizedConfig, trace: BuildTrace) -> PartitionTree:
+    """``run_cells`` without the handover, wrapped as ``build_randomized`` wraps it."""
+    node = run_cells(CellTask(data.full_view(), config.seed), randomized_decision(config.beta), trace=trace)
+    return PartitionTree(root=node, d=data.d, mode="binary", config={
+        "algo": "randomized", "beta": config.beta, "seed": config.seed, "n": data.n})
+
+
+@pytest.mark.parametrize("n", (300, 3_000))  # the handover comes at the root, then mid-build
+@pytest.mark.parametrize("d", (1, 2, 3, 5))
+@pytest.mark.parametrize("seed", (-1, 0, 2**63))
+def test_a_traced_build_records_what_the_per_cell_build_records(n, d, seed):
+    data = _differential_data(n, d, True, 70 + d)
+    config = RandomizedConfig(beta=0.99, seed=seed)
+    built, reference = BuildTrace(), BuildTrace()
+    doc = serialize_tree(build_randomized(data, config, trace=built))
+    assert doc == serialize_tree(_per_cell_build(data, config, reference))
+    assert built.lines() == reference.lines()
+    assert [r.seed for r in built.records] == [r.seed for r in reference.records]
+    assert built.records[0].seed == seed
+    for got, want in zip(built.records, reference.records):
+        assert got.view_indices.dtype == np.int64 and not got.view_indices.flags.writeable
+        assert np.array_equal(got.view_indices, want.view_indices)
+    report = audit_autonomy(built, data, randomized_decision(0.99), sample=len(built.records))
+    assert report.ok and report.checked == len(built.records), report.failures
