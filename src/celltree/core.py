@@ -2,8 +2,9 @@
 
 A dataset is an ordered list of labeled points. Tree builders never move or
 copy the points; they pass around views (index subsets) of one immutable
-dataset. Trees are served as immutable nodes plus a canonical JSON document
-so that identical trees serialize to identical bytes.
+dataset. A tree is kept as one flat cut table, built from its generation
+records, with immutable nodes built on request, plus a canonical JSON
+document so that identical trees serialize to identical bytes.
 
 Conventions used throughout the package:
 
@@ -301,11 +302,12 @@ class Internal:
 Node = Union[Leaf, Internal]
 
 
-def _assemble(generations: list[list]) -> list[Node]:
+def _assemble(generations: list) -> list[Node]:
     """The first generation's nodes, built bottom-up without recursion from
     one list of cells per generation in frontier order. A cell is a finished
     ``Leaf``, or a split's (splits, eaten, arity), whose children are the
-    next ``arity`` nodes built for the generation below."""
+    next ``arity`` nodes built for the generation below. A ``_Generation``
+    iterates as such a list."""
     built: list[Node] = []
     for cells in reversed(generations):
         below = iter(built)
@@ -316,6 +318,63 @@ def _assemble(generations: list[list]) -> list[Node]:
     return built
 
 
+def _ints(values: list) -> np.ndarray:
+    """An int64 column of Python ints, or an object one where one is beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class _Generation:
+    """One generation of a tree's cells, in frontier order, as columns.
+
+    ``split`` marks the cells that split. ``count0`` and ``count1`` hold the
+    label counts of the others, the leaves, in order. ``dims``, ``thrs`` and
+    ``eaten`` hold each split's ``arity - 1`` cuts in cascade order and their
+    pivots (-1 where unknown), the splits in order; the generation below
+    holds each split's ``arity`` children in order. Iterating gives
+    ``run_cells``' per-cell records with Python ints and floats: a ``Leaf``,
+    or a split's (splits, eaten, arity).
+    """
+
+    __slots__ = ("split", "count0", "count1", "dims", "thrs", "eaten", "arity")
+
+    def __init__(self, split, count0, count1, dims, thrs, eaten, arity):
+        self.split, self.count0, self.count1 = split, count0, count1
+        self.dims, self.thrs, self.eaten, self.arity = dims, thrs, eaten, arity
+
+    @classmethod
+    def of(cls, cells: list, arity: int | None) -> "_Generation":
+        """The columns of one list of per-cell records."""
+        leaves = [c for c in cells if isinstance(c, Leaf)]
+        splits = [c for c in cells if not isinstance(c, Leaf)]
+        cuts = [cut for c in splits for cut in c[0]]
+        return cls(
+            np.array([not isinstance(c, Leaf) for c in cells], dtype=bool),
+            _ints([leaf.count0 for leaf in leaves]),
+            _ints([leaf.count1 for leaf in leaves]),
+            _ints([cut[0] for cut in cuts]),
+            np.array([cut[1] for cut in cuts], dtype=np.float64),
+            _ints([pivot for c in splits for pivot in c[1]]),
+            arity,
+        )
+
+    def __len__(self) -> int:
+        return len(self.split)
+
+    def __iter__(self):
+        leaves = zip(self.count0.tolist(), self.count1.tolist())
+        cuts = zip(self.dims.tolist(), self.thrs.tolist())
+        eaten = iter(self.eaten.tolist())
+        for split in self.split.tolist():
+            if split:
+                w = self.arity - 1
+                yield tuple(islice(cuts, w)), tuple(islice(eaten, w)), self.arity
+            else:
+                yield Leaf(*next(leaves))
+
+
 @dataclass(frozen=True)
 class PartitionTree:
     """A built classifier: root node, input dimension, arity mode, config echo.
@@ -323,7 +382,11 @@ class PartitionTree:
     ``mode`` is "binary" (one cut per level) or "full" (2^d children per
     level). ``config`` echoes the build parameters and training size; it is
     carried verbatim into the serialized document. ``_cuts``, the one checked
-    cut table, is kept from its first use; every reader but ``route`` reads it.
+    cut table, is kept from its first use; every reader but ``route`` reads
+    it. The builders and the reader make a tree with ``_of_generations``,
+    which builds the table from their generation records and leaves ``root``
+    unset: its ``Leaf`` and ``Internal`` nodes are built from the table on
+    first access and kept.
     """
 
     root: Node
@@ -337,9 +400,28 @@ class PartitionTree:
         if self.d < 1:
             raise ValueError("d must be >= 1")
 
+    @classmethod
+    def _of_generations(cls, generations: list, d: int, mode: str, config: dict) -> "PartitionTree":
+        """The tree of ``run_cells``' generation records, root first, without nodes."""
+        tree = object.__new__(cls)
+        for name, value in (("d", d), ("mode", mode), ("config", config)):
+            object.__setattr__(tree, name, value)
+        tree.__post_init__()
+        tree.__dict__["_cuts"] = _cut_table(generations, d, _node_arity(mode, d))
+        return tree
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set; a tree without its root has its table
+        if name != "root" or "_cuts" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        root = self._cuts.nodes()
+        object.__setattr__(self, "root", root)
+        return root
+
     @cached_property
     def _cuts(self) -> _CutTable:
-        return _cut_table(self.root, self.d, _node_arity(self.mode, self.d))
+        arity = _node_arity(self.mode, self.d)
+        return _cut_table(_node_generations(self.root, self.d, arity), self.d, arity)
 
 
 def _node_arity(mode: str, d: int) -> int | None:
@@ -385,19 +467,45 @@ class _CutTable:
     rows of their own, nodes in pre-order, row r's low and high targets at
     ``child[2r]`` and ``child[2r + 1]``; a target t < 0 is leaf ~t, any other
     a node's first row b, whose ``arity`` children are the targets
-    ``child[2b + w - 1 : 2(b + w)]``, w = arity - 1. ``root`` is the root's
-    target; ``leaves``, their int8 ``labels`` (ties to 0) and ``depths`` list
-    the leaves left to right."""
+    ``child[2b + w - 1 : 2(b + w)]``, w = arity - 1. ``eaten`` holds each
+    row's pivot, -1 where unknown: in a read tree, and in a tree made with
+    ``root=``, which keeps its own nodes. ``root`` is the root's target;
+    ``count0`` and ``count1`` (int64, or object where a count is beyond
+    int64), their int8 ``labels`` (ties to 0) and ``depths`` describe the
+    leaves left to right, and ``leaves`` lists them as ``Leaf`` objects,
+    built on first use."""
 
     d: int
     arity: int | None
-    leaves: list[Leaf]
+    count0: np.ndarray
+    count1: np.ndarray
     labels: np.ndarray
     depths: np.ndarray
     dim_of: np.ndarray
     thr_of: np.ndarray
+    eaten: np.ndarray
     child: np.ndarray
     root: int
+
+    @cached_property
+    def leaves(self) -> list[Leaf]:
+        return [Leaf(c0, c1) for c0, c1 in zip(self.count0.tolist(), self.count1.tolist())]
+
+    def nodes(self) -> Node:
+        """The root's node tree, built without recursion: a node's rows come
+        after its parent's, so building from the last row back finds every
+        child built."""
+        leaves = self.leaves
+        if self.root < 0:
+            return leaves[~self.root]
+        w = self.arity - 1
+        cuts = list(zip(self.dim_of.tolist(), self.thr_of.tolist()))
+        eaten, child = self.eaten.tolist(), self.child.tolist()
+        built: dict[int, Node] = {}
+        for b in range(len(cuts) - w, -1, -w):
+            built[b] = Internal(tuple(cuts[b:b + w]), tuple(eaten[b:b + w]), tuple(
+                leaves[~t] if t < 0 else built.pop(t) for t in child[2 * b + w - 1:2 * (b + w)]))
+        return built[0]
 
     def leaf_of(self, X: np.ndarray) -> np.ndarray:
         """Each query row's leaf index (int64). All rows descend the table
@@ -420,43 +528,104 @@ class _CutTable:
         return ~at
 
 
-def _cut_table(root: Node, d: int, arity: int | None) -> _CutTable:
-    """The cut table of the tree under ``root``, in one pass without recursion,
-    left first: the one walk of built nodes but ``route``'s. Each node is checked
-    by ``_check_node`` when reached, and a value that is no node is refused."""
-    leaves: list[Leaf] = []
-    depths: list[int] = []
-    cuts: list[tuple[int, float]] = []
-    targets = [0]  # the root's target, then row r's low and high at 2r + 1, 2r + 2
-    stack: list[tuple[Node, int, int]] = [(root, 0, 0)]  # node, depth, its target's slot
+def _node_generations(root: Node, d: int, arity: int | None) -> list[list]:
+    """The per-cell records of the tree under ``root``, one list per depth,
+    in one pass without recursion, left first: the one walk of built nodes
+    but ``route``'s. Pre-order keeps each depth's nodes in left-to-right
+    order. Each node is checked by ``_check_node`` when reached, and a value
+    that is no node is refused. Pivots are recorded as unknown (-1)."""
+    generations: list[list] = []
+    stack: list[tuple[Node, int]] = [(root, 0)]
     while stack:
-        node, depth, slot = stack.pop()
+        node, depth = stack.pop()
+        if depth == len(generations):
+            generations.append([])
         if isinstance(node, Leaf):
             _check_node(node, d, arity)
-            targets[slot] = ~len(leaves)
-            leaves.append(node)
-            depths.append(depth)
+            generations[depth].append(node)
             continue
         if not isinstance(node, Internal):
             raise TreeSchemaError(f"node must be a Leaf or an Internal, not {type(node).__name__}")
         _check_node((node.splits, node.eaten, len(node.children)), d, arity)
-        base = targets[slot] = len(cuts)
-        cuts += node.splits
-        targets.extend(range(base + 1, base + arity - 1))  # row h leads to rows 2h+1, 2h+2
-        first = len(targets)  # the last level's targets are the children, in order
-        targets.extend([0] * arity)
-        stack.extend((node.children[j], depth + 1, first + j) for j in reversed(range(arity)))
-    dims, thrs = zip(*cuts) if cuts else ((), ())
+        generations[depth].append((node.splits, (-1,) * len(node.eaten), arity))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return generations
+
+
+def _check_columns(gen: _Generation, d: int) -> None:
+    """``_check_node``'s numeric rules over one generation's columns."""
+    if (gen.count0 < 0).any() or (gen.count1 < 0).any():
+        raise TreeSchemaError("leaf counts must be nonnegative integers")
+    wrong = (gen.dims < 0) | (gen.dims >= d)
+    if wrong.any():
+        raise TreeSchemaError(f"cut dimension {int(gen.dims[wrong.argmax()])!r} out of range 0..{d - 1}")
+    if not np.isfinite(gen.thrs).all():
+        raise TreeSchemaError("cut threshold must be finite")
+
+
+def _cut_table(generations: list, d: int, arity: int | None) -> _CutTable:
+    """The cut table of the tree whose generation records, root first, are
+    ``generations``: each a ``_Generation``, or a list of per-cell records,
+    turned into one here. The one table builder, vectorized one generation
+    at a time. A bottom-up pass counts the leaves and internal nodes under
+    each cell; a top-down pass gives each cell its pre-order row base, or
+    its leaf number, and so the child targets, leaf depths and count
+    columns. ``_check_node``'s numeric rules are checked on the columns."""
+    gens = [g if isinstance(g, _Generation) else _Generation.of(g, arity) for g in generations]
+    for gen in gens:
+        _check_columns(gen, d)
+    w = arity - 1 if arity else 0  # arity is None only in a tree with no split
+    # bottom-up: the leaves and internal nodes under each cell of each generation
+    under: list[tuple[np.ndarray, np.ndarray]] = []
+    leaves = internals = np.zeros(0, dtype=np.int64)
+    for gen in reversed(gens):
+        at = np.flatnonzero(gen.split)
+        kids_leaves, kids_internals = leaves.reshape(at.size, w + 1), internals.reshape(at.size, w + 1)
+        leaves, internals = np.ones(len(gen), dtype=np.int64), gen.split.astype(np.int64)
+        leaves[at] = kids_leaves.sum(axis=1)
+        internals[at] += kids_internals.sum(axis=1)
+        under.append((kids_leaves, kids_internals))
+    rows = w * int(internals[0])
+    counts = object if any(object in (g.count0.dtype, g.count1.dtype) for g in gens) else np.int64
+    count0, count1 = np.empty(int(leaves[0]), dtype=counts), np.empty(int(leaves[0]), dtype=counts)
+    depths = np.empty(int(leaves[0]), dtype=np.int64)
+    dim_of = np.empty(rows, dtype=np.int64 if d < 2**63 else object)  # a wider d meets no query
+    thr_of, eaten = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.int64)
+    child = np.empty(2 * rows, dtype=np.int64)
+    # top-down: the internal nodes and the leaves before each cell in pre-order
+    before = left = np.zeros(1, dtype=np.int64)
+    slots = None  # the child slots that the generation's targets fill
+    for depth, (gen, (kids_leaves, kids_internals)) in enumerate(zip(gens, reversed(under))):
+        at, stop = np.flatnonzero(gen.split), np.flatnonzero(~gen.split)
+        base = w * before[at]
+        targets = np.empty(len(gen), dtype=np.int64)
+        targets[at], targets[stop] = base, ~left[stop]
+        if slots is None:
+            root = int(targets[0])
+        else:
+            child[slots] = targets
+        count0[left[stop]], count1[left[stop]], depths[left[stop]] = gen.count0, gen.count1, depth
+        if not at.size:
+            continue
+        cut_rows = (base[:, None] + np.arange(w)).ravel()
+        dim_of[cut_rows], thr_of[cut_rows], eaten[cut_rows] = gen.dims, gen.thrs, gen.eaten
+        # row h of a node leads to rows 2h + 1 and 2h + 2, its last level to the children
+        child[(2 * base[:, None] + np.arange(w - 1)).ravel()] = (base[:, None] + np.arange(1, w)).ravel()
+        slots = (2 * base[:, None] + np.arange(w - 1, 2 * w)).ravel()
+        left = (left[at, None] + np.cumsum(kids_leaves, axis=1) - kids_leaves).ravel()
+        before = (before[at, None] + 1 + np.cumsum(kids_internals, axis=1) - kids_internals).ravel()
     return _CutTable(
         d=d,
         arity=arity,
-        leaves=leaves,
-        labels=np.array([leaf.count1 > leaf.count0 for leaf in leaves], dtype=np.int8),
-        depths=np.array(depths, dtype=np.int64),
-        dim_of=np.array(dims, dtype=np.int64 if d < 2**63 else object),  # a wider d meets no query
-        thr_of=np.array(thrs, dtype=np.float64),
-        child=np.array(targets[1:], dtype=np.int64),
-        root=targets[0],
+        count0=count0,
+        count1=count1,
+        labels=(count1 > count0).astype(np.int8),
+        depths=depths,
+        dim_of=dim_of,
+        thr_of=thr_of,
+        eaten=eaten,
+        child=child,
+        root=root,
     )
 
 
@@ -494,11 +663,11 @@ def tree_stats(tree: PartitionTree) -> TreeStats:
     one eaten pivot per cut row, leaf points summed in Python ints, depths
     those of the leaves."""
     table = tree._cuts
-    rows, leaves = len(table.thr_of), len(table.leaves)
+    rows, leaves = len(table.thr_of), len(table.depths)
     internals = rows // (table.arity - 1) if rows else 0
     depths, counts = np.unique(table.depths, return_counts=True)
     return TreeStats(internals + leaves, internals, leaves, int(depths[-1]),
-                     sum(leaf.count0 + leaf.count1 for leaf in table.leaves), rows,
+                     sum(table.count0.tolist()) + sum(table.count1.tolist()), rows,
                      dict(zip(depths.tolist(), counts.tolist())))
 
 
@@ -507,7 +676,7 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def _check_node(node, d: int, arity: int | None) -> None:
-    """The one per-node rule, of the reader and the cut table: nonnegative
+    """The one per-node rule, of the reader and the node walk: nonnegative
     integer leaf counts; ``arity`` children (``_node_arity``), one cut fewer
     and one eaten pivot per cut; each cut a (dimension, threshold) pair, an
     integer dimension in 0..d-1 (not a bool) and a finite real threshold (not
@@ -545,8 +714,9 @@ def _check_node(node, d: int, arity: int | None) -> None:
 
 
 def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
-    """``tree_stats``, whose cut table checks every node, left first, by
-    ``_check_node``, and conservation when the training size ``n`` is known
+    """``tree_stats``, whose cut table is checked as it is built (a node tree
+    left first by ``_check_node``, generation records by its numeric rules),
+    and conservation when the training size ``n`` is known
     (argument or ``config["n"]``): every training point is counted in exactly
     one leaf or eaten as a pivot.
     """
@@ -591,8 +761,8 @@ def serialize_tree(tree: PartitionTree) -> str:
     Keys are sorted, separators fixed, floats written in shortest round-trip
     form, so equal trees produce byte-identical output. Dimensions are
     1-based on the wire. The header is checked by ``_check_head``, then the
-    nodes are written from the tree's cut table, which has checked each by
-    ``_check_node``, in one pass without recursion. A tree that
+    nodes are written from the tree's cut table, checked as it was built,
+    in one pass without recursion. A tree that
     ``deserialize_tree`` would refuse, one deeper than ``MAX_TREE_DEPTH``
     among them, raises TreeSchemaError.
     """
@@ -603,7 +773,7 @@ def serialize_tree(tree: PartitionTree) -> str:
     head = json.dumps({"config": tree.config, "d": tree.d, "mode": tree.mode},
                       sort_keys=True, separators=(",", ":"))
     cuts = ["[%d,%r]" % cut for cut in zip((table.dim_of + 1).tolist(), table.thr_of.tolist())]
-    child = table.child.tolist()
+    child, count0, count1 = table.child.tolist(), table.count0.tolist(), table.count1.tolist()
     parts = [head[:-1], ',"root":']
     stack: list = [table.root]  # targets to write, or text: a comma or a split's tail
     while stack:
@@ -611,8 +781,7 @@ def serialize_tree(tree: PartitionTree) -> str:
         if isinstance(item, str):
             parts.append(item)
         elif item < 0:
-            leaf = table.leaves[~item]
-            parts.append('{"count0":%d,"count1":%d}' % (leaf.count0, leaf.count1))
+            parts.append('{"count0":%d,"count1":%d}' % (count0[~item], count1[~item]))
         else:
             w = table.arity - 1
             parts.append('{"children":[')
@@ -635,7 +804,8 @@ def deserialize_tree(text: str) -> PartitionTree:
     Every malformed document raises TreeSchemaError, for its first fault in
     reading order: the parsed nodes are read one generation at a time, each
     checked as read for its wire format and by ``_check_node``, and only then
-    built bottom-up by ``_assemble``. A tree deeper than ``MAX_TREE_DEPTH``,
+    handed to the cut table as the tree's generation records; no node object
+    is built until ``root`` is read. A tree deeper than ``MAX_TREE_DEPTH``,
     or nested deeper than ``json.loads`` parses, is refused.
     """
     try:
@@ -687,8 +857,7 @@ def deserialize_tree(text: str) -> PartitionTree:
             cells.append(cell)
         generations.append(cells)
         level = below
-    root = _assemble(generations)[0]
-    return PartitionTree(root=root, d=d, mode=mode, config=config)
+    return PartitionTree._of_generations(generations, d, mode, config)
 
 
 # ---------------------------------------------------------------------------

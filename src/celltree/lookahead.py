@@ -219,12 +219,12 @@ def build_lookahead(
     if config.d != data.d:
         raise ValueError(f"config is for d={config.d}, data has d={data.d}")
     root = CellTask(view=data.full_view(), seed=config.seed)
-    node = run_cells(root, lookahead_decision(config), workers=workers, trace=trace)
-    return PartitionTree(
-        root=node,
-        d=data.d,
-        mode="full",
-        config={
+    generations = run_cells(root, lookahead_decision(config), workers=workers, trace=trace, _records=True)
+    return PartitionTree._of_generations(
+        generations,
+        data.d,
+        "full",
+        {
             "algo": "lookahead",
             "alpha": config.alpha,
             "beta": config.beta,

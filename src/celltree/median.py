@@ -30,7 +30,7 @@ import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, Leaf, PartitionTree, _assemble, _CutTable, strict_rank  # noqa: F401
+from .core import DataView, Leaf, PartitionTree, _CutTable, strict_rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -186,16 +186,16 @@ def build_full_tree(view: DataView, k: int) -> FullTree:
 
 
 def _partition_tree(tree: FullTree) -> PartitionTree:
-    """A complete tree as a full-mode PartitionTree, assembled bottom-up by
-    ``run_cells``' assembler, so its leaves, left to right, are in canonical
-    order. An incomplete tree raises ValueError from
+    """A complete tree as a full-mode PartitionTree, made from its levels as
+    ``run_cells``' generation records, so its leaves, left to right, are in
+    canonical order. An incomplete tree raises ValueError from
     ``LevelSplit.split_records``."""
     arity = 1 << tree.d
     generations: list[list] = [
         [(level.split_records(), level.eaten, arity) for level in splits] for splits in tree.levels
     ]
     generations.append([Leaf(*counts) for counts in tree.leaf_counts])
-    return PartitionTree(root=_assemble(generations)[0], d=tree.d, mode="full", config={})
+    return PartitionTree._of_generations(generations, tree.d, "full", {})
 
 
 def locate_leaf(tree: FullTree, x) -> int:

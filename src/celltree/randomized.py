@@ -8,8 +8,9 @@ its view and its seed.
 
 Large cells are decided one by one by ``randomized_decision``. Once the
 cells of a frontier are small, per-cell Python cost outweighs the numpy work,
-so an untraced build decides the rest of the tree a whole generation at a
-time (``_segmented_generations``), with the same draws and the same records.
+so a build, traced or not, decides the rest of the tree a whole generation at
+a time (``_segmented_generations``), with the same draws, the same records
+and the same trace.
 """
 from __future__ import annotations
 
@@ -18,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Leaf, PartitionTree, _index_dtype, classify, majority_label
+from .core import (
+    Dataset,
+    Leaf,
+    PartitionTree,
+    _Generation,
+    _index_dtype,
+    classify,
+    majority_label,
+)
 from .median import median_split
 from .runtime import (
     _GOLDEN,
@@ -28,6 +37,9 @@ from .runtime import (
     CellTask,
     DecisionFn,
     SplitDecision,
+    TraceRecord,
+    _byte_view,
+    _input_hash,
     derive_child_seed,
     run_cells,
 )
@@ -126,9 +138,12 @@ def _child_seeds(seeds: np.ndarray, j: int) -> np.ndarray:
     return _splitmix64s(_splitmix64s(seeds) ^ np.uint64(j + _GOLDEN))
 
 
-def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
+def _segmented_generations(
+    frontier: list[CellTask], beta: float, trace: BuildTrace | None = None
+) -> list[_Generation]:
     """Decide ``frontier`` and every generation under it, each in a few
-    numpy passes, and return ``run_cells``' records of them: per cell in
+    numpy passes, and return them as ``core._Generation`` columns, one per
+    generation: each iterates as ``run_cells``' records, per cell in
     frontier order a ``Leaf``, or ``(((dim, threshold),), (pivot,), 2)``.
 
     ``points`` holds the live points grouped by cell in frontier order.
@@ -137,7 +152,9 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
     (m - 1) // 2, and removing the pivots leaves each cell's low child and
     then its high child as contiguous runs, in frontier order. Draws and
     stop rule are ``randomized_decision``'s, so every record is the one it
-    would give cell by cell. Clears ``frontier`` once its points are copied.
+    would give cell by cell. With ``trace``, each generation appends the
+    ``TraceRecord``s that ``run_cells`` would, after one more sort of its
+    points by (cell, index). Clears ``frontier`` once its points are copied.
     """
     dataset = frontier[0].view.dataset
     n, d, xs, ys, ranks = dataset.n, dataset.d, dataset.xs, dataset.ys, dataset._rank_table
@@ -148,9 +165,18 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
         dtype=_index_dtype(n),
         casting="same_kind",
     )
+    if trace is not None:
+        cell_ids = [task.cell_id for task in frontier]
+        parent_ids = [task.parent_id for task in frontier]
+        given = [task.seed for task in frontier]  # recorded as given: -1 stays -1
     frontier.clear()
-    generations: list[list] = []
+    generations: list[_Generation] = []
     while sizes.size:
+        if trace is not None:
+            # each cell's points in ascending order, as its view holds them
+            cell_base = np.repeat(np.arange(sizes.size, dtype=np.int64) * n, sizes)
+            viewed = np.sort(cell_base + points) - cell_base
+            del cell_base
         u, dims = _cell_draws(seeds, d)
         # phi on math, once per size: numpy's log can differ in the last bit
         distinct, which = np.unique(sizes, return_inverse=True)
@@ -171,20 +197,44 @@ def _segmented_generations(frontier: list[CellTask], beta: float) -> list[list]:
         low = (kept - 1) // 2
         pivot_at = np.cumsum(kept) - kept + low
         pivots = points[pivot_at]
-        records = iter([
-            (((dim, thr),), (pivot,), 2)
-            for dim, thr, pivot in zip(cut.tolist(), xs[pivots, cut].tolist(), pivots.tolist())
-        ])
-        generations.append([
-            Leaf(m - c1, c1) if stopped else next(records)
-            for stopped, m, c1 in zip(stop.tolist(), sizes.tolist(), ones.tolist())
-        ])
+        gen = _Generation(~stop, sizes[stop] - ones[stop], ones[stop], cut, xs[pivots, cut], pivots, 2)
+        generations.append(gen)
+        if trace is not None:
+            _trace_generation(trace, gen, sizes, given or seeds.tolist(), cell_ids, parent_ids,
+                              viewed, dataset)
+            parent_ids = [cell_ids[i] for i in split.tolist() for _ in (0, 1)]
+            cell_ids = [f"{parent}.{j}" for parent in parent_ids[::2] for j in (0, 1)]
+            given = None
         # np.delete, not a keep-mask and compress: 0.60 against 1.42 ms at that size
         points = np.delete(points, pivot_at)
         sizes = np.column_stack((low, kept - 1 - low)).ravel()
         parents = seeds[split]
         seeds = np.column_stack((_child_seeds(parents, 0), _child_seeds(parents, 1))).ravel()
     return generations
+
+
+def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, seeds: list,
+                      ids: list, parents: list, viewed: np.ndarray, dataset: Dataset) -> None:
+    """Append one generation's ``TraceRecord``s, per cell in frontier order,
+    as ``run_cells`` makes them: the same fingerprint string as
+    ``decision_fingerprint``, the same SHA-256 over the same bytes, the view's
+    indices as a read-only int64 slice. ``viewed`` holds the cells' points,
+    each cell's in ascending order."""
+    viewed = viewed.astype(np.int64)
+    viewed.flags.writeable = False
+    xs, ys, row = _byte_view(dataset.xs[viewed]), _byte_view(dataset.ys[viewed]), 8 * dataset.d
+    leaves = zip(gen.count0.tolist(), gen.count1.tolist())
+    cuts = zip(gen.dims.tolist(), gen.thrs.tolist())
+    end = 0
+    for split, m, seed, cell_id, parent_id in zip(gen.split.tolist(), sizes.tolist(), seeds, ids, parents):
+        start, end = end, end + m
+        if split:
+            dim, thr = next(cuts)
+            fp = f"split:dims={dim}:thr={thr!r}:sizes={(m - 1) // 2},{m - 1 - (m - 1) // 2}"
+        else:
+            fp = "leaf:%d:%d" % next(leaves)
+        digest = _input_hash(seed, xs[start * row:end * row], ys[start:end])
+        trace.records.append(TraceRecord(cell_id, parent_id, m, seed, fp, digest, viewed[start:end]))
 
 
 def build_randomized(
@@ -195,25 +245,21 @@ def build_randomized(
 ) -> PartitionTree:
     root = CellTask(view=data.full_view(), seed=config.seed)
 
-    def handover(frontier: list[CellTask]) -> list[list] | None:
+    def handover(frontier: list[CellTask]) -> list[_Generation] | None:
         if sum(task.view.n for task in frontier) > _SEGMENTED_MEAN_POINTS * len(frontier):
             return None
-        return _segmented_generations(frontier, config.beta)
+        return _segmented_generations(frontier, config.beta, trace)
 
-    node = run_cells(
-        root, randomized_decision(config.beta), workers=workers, trace=trace, _handover=handover
+    generations = run_cells(
+        root, randomized_decision(config.beta), workers=workers, trace=trace, _handover=handover,
+        _records=True,
     )
-    return PartitionTree(
-        root=node,
-        d=data.d,
-        mode="binary",
-        config={
-            "algo": "randomized",
-            "beta": config.beta,
-            "seed": config.seed,
-            "n": data.n,
-        },
-    )
+    return PartitionTree._of_generations(generations, data.d, "binary", {
+        "algo": "randomized",
+        "beta": config.beta,
+        "seed": config.seed,
+        "n": data.n,
+    })
 
 
 def build_ensemble(

@@ -16,6 +16,7 @@ original context) and flags any decision that changes.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
 import struct
@@ -122,12 +123,18 @@ def decision_fingerprint(decision: CellDecision) -> str:
     return f"split:dims={dims}:thr={thrs}:sizes={sizes}"
 
 
-def _input_hash(view: DataView, seed: int) -> str:
-    h = hashlib.sha256()
-    h.update(struct.pack("<Q", seed & _MASK64))
-    h.update(np.ascontiguousarray(view.xs).tobytes())
-    h.update(np.ascontiguousarray(view.ys).tobytes())
+def _input_hash(seed: int, xs, ys) -> str:
+    """A cell's input hash: SHA-256 over its seed's 64 bits, then the bytes of
+    its points' float64 rows and int8 labels, C-ordered."""
+    h = hashlib.sha256(struct.pack("<Q", seed & _MASK64))
+    h.update(xs)
+    h.update(ys)
     return h.hexdigest()[:16]
+
+
+def _byte_view(array: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, sliceable without a copy."""
+    return memoryview(array.reshape(-1).view(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -170,8 +177,9 @@ def run_cells(
     workers: int = 1,
     trace: BuildTrace | None = None,
     shuffle_seed: int | None = None,
-    _handover: Callable[[list[CellTask]], list[list] | None] | None = None,
-) -> Node:
+    _handover: Callable[[list[CellTask]], list | None] | None = None,
+    _records: bool = False,
+) -> Node | list:
     """Execute a cell tree to completion and assemble the node tree.
 
     Cells are decided frontier by frontier, in one thread. Results are kept
@@ -182,16 +190,19 @@ def run_cells(
     accepted and checked to be >= 1, and changes nothing.
 
     ``_handover`` lets a builder finish the build its own way: it is offered
-    each frontier before that frontier is decided, and returns None to leave
-    it to ``decide``, or the records (kept as below) of that generation and
-    of every generation under it, which end the build. It may clear the
-    frontier list once it has read the tasks, which frees their views while
-    it runs. A traced build never calls it, so every cell keeps its trace
-    record.
+    each frontier before that frontier is decided, traced builds included,
+    and returns None to leave it to ``decide``, or the records (kept as
+    below, or as ``core._Generation`` columns) of that generation and of
+    every generation under it, which end the build. In a traced build it
+    appends those generations' trace records, as ``run_cells`` would. It may
+    clear the frontier list once it has read the tasks, which frees their
+    views while it runs.
+
+    With ``_records``, the generation records are returned instead of the
+    node tree, for ``PartitionTree._of_generations``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    handover = _handover if trace is None else None
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
     # one list per generation, in frontier order: each decided cell's
@@ -201,7 +212,7 @@ def run_cells(
     generations: list[list] = []
     frontier: list[CellTask] = [root]
     while frontier:
-        rest = handover(frontier) if handover is not None else None
+        rest = _handover(frontier) if _handover is not None else None
         if rest is not None:
             generations.extend(rest)
             break
@@ -226,7 +237,7 @@ def run_cells(
                         n=task.view.n,
                         seed=task.seed,
                         decision_fp=decision_fingerprint(decision),
-                        input_hash=_input_hash(task.view, task.seed),
+                        input_hash=_input_hash(task.seed, task.view.xs, task.view.ys),
                         view_indices=task.view.indices,
                     )
                 )
@@ -248,7 +259,7 @@ def run_cells(
         del results
         generations.append(cells)
         frontier = nxt
-    return _assemble(generations)[0]
+    return generations if _records else _assemble(generations)[0]
 
 
 @dataclass(frozen=True)
@@ -267,20 +278,18 @@ def audit_autonomy(
 ) -> AutonomyReport:
     """Verify that traced decisions depend only on (view contents, seed).
 
-    Every record's input hash is recomputed from the stored view, then a
+    Every record's size and input hash are checked against its stored view
+    in one pass: the indices are cast and checked by ``DataView``'s rules,
+    raising its ValueError, and the dataset's rows are gathered once. Then a
     sample of cells is re-executed in isolation: the cell's points are copied
     into a fresh dataset with no trace of the original context, and the
     decision must reproduce the recorded fingerprint. A decision that peeks
     at global state (for example the full training size) changes its answer
     on the detached copy and fails the audit.
     """
-    failures: list[str] = []
-    for record in trace.records:
-        view = DataView(dataset, record.view_indices)
-        if _input_hash(view, record.seed) != record.input_hash:
-            failures.append(f"{record.cell_id}: input hash mismatch")
-    rng = random.Random(seed)
     records = list(trace.records)
+    failures = _input_failures(records, dataset)
+    rng = random.Random(seed)
     picked = records if len(records) <= sample else rng.sample(records, sample)
     for record in picked:
         view = DataView(dataset, record.view_indices)
@@ -296,3 +305,44 @@ def audit_autonomy(
                 f"({record.decision_fp} -> {decision_fingerprint(replay)})"
             )
     return AutonomyReport(ok=not failures, checked=len(picked), failures=tuple(failures))
+
+
+# points whose rows the audit gathers at a time, so that a large trace is
+# hashed in bounded memory
+_AUDIT_BLOCK = 1 << 20
+
+
+def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
+    """Each record's size and input hash checked against its own view, in
+    record order. The first record whose indices ``DataView`` would refuse
+    raises its ValueError."""
+    cast = [np.asarray(np.atleast_1d(r.view_indices), dtype=np.int64) for r in records]
+    flat_end = next((i for i, ix in enumerate(cast) if ix.ndim != 1), len(cast))
+    sizes = np.array([ix.size for ix in cast[:flat_end]], dtype=np.int64)
+    flat = np.concatenate(cast[:flat_end] + [np.empty(0, dtype=np.int64)])
+    del cast
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    ascending = np.ones(flat.size, dtype=bool)  # above the point before it, or first in its record
+    ascending[1:] = np.diff(flat) > 0
+    ascending[starts[sizes > 0]] = True
+    wrong = ~ascending | (flat < 0) | (flat >= dataset.n)
+    bad = int(np.searchsorted(ends, wrong.argmax(), side="right")) if wrong.any() else flat_end
+    if bad < len(records):
+        DataView(dataset, records[bad].view_indices)  # raises the first refusal
+    failures: list[str] = []
+    starts, ends = starts.tolist(), ends.tolist()
+    row = 8 * dataset.d
+    first = 0
+    while first < len(records):
+        last = max(bisect.bisect_right(ends, starts[first] + _AUDIT_BLOCK), first + 1)
+        block = flat[starts[first]:ends[last - 1]]
+        xs, ys = _byte_view(dataset.xs[block]), _byte_view(dataset.ys[block])
+        for record, a, b in zip(records[first:last], starts[first:last], ends[first:last]):
+            a, b = a - starts[first], b - starts[first]
+            if record.n != b - a:
+                failures.append(f"{record.cell_id}: size mismatch")
+            if _input_hash(record.seed, xs[a * row:b * row], ys[a:b]) != record.input_hash:
+                failures.append(f"{record.cell_id}: input hash mismatch")
+        first = last
+    return failures

@@ -346,3 +346,88 @@ def test_trace_lines_are_pinned(algo, records, digest):
         build_lookahead(data, LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=3), trace=trace)
     assert len(trace.records) == records
     assert hashlib.sha256("\n".join(trace.lines()).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the audit's one-pass input check
+
+
+def _traced_build(n: int = 2_000):
+    data = _pinned_trace_data()
+    data = Dataset(data.xs[:n], data.ys[:n])
+    trace = BuildTrace()
+    build_randomized(data, RandomizedConfig(beta=0.99, seed=4), trace=trace)
+    return data, trace
+
+
+def _audit_all(trace, data, decide=None):
+    decide = decide or randomized_decision(0.99)
+    return audit_autonomy(trace, data, decide, sample=len(trace.records))
+
+
+def test_the_audit_checks_each_records_size_against_its_view():
+    import dataclasses
+
+    data, trace = _traced_build()
+    assert trace.records[0].n == 2_000 and _audit_all(trace, data).ok
+    trace.records[0] = dataclasses.replace(trace.records[0], n=2_007)
+    report = _audit_all(trace, data)
+    assert not report.ok and report.failures == ("r: size mismatch",)
+
+
+def test_tampered_input_hashes_are_reported_in_record_order():
+    import dataclasses
+
+    data, trace = _traced_build()
+    for at in (120, 7, 61):
+        trace.records[at] = dataclasses.replace(trace.records[at], input_hash="0" * 16)
+    report = audit_autonomy(trace, data, randomized_decision(0.99), sample=3, seed=1)
+    assert report.failures == tuple(
+        f"{trace.records[at].cell_id}: input hash mismatch" for at in (7, 61, 120))
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        (lambda ix: ix[::-1].copy(), "indices must be strictly ascending"),
+        (lambda ix: np.append(ix, 2_000), "index out of range"),
+        (lambda ix: np.append(ix[1:], -1), "strictly ascending"),
+        (lambda ix: ix.reshape(1, -1), "indices must be one-dimensional"),
+    ],
+    ids=["descending", "beyond-the-data", "negative", "two-dimensional"],
+)
+def test_the_audit_refuses_the_view_indices_a_view_refuses(indices, message):
+    import dataclasses
+
+    data, trace = _traced_build()
+    records = trace.records
+    at = next(i for i, r in enumerate(records) if r.n > 3 and i > 10)
+    records[at] = dataclasses.replace(records[at], view_indices=indices(records[at].view_indices))
+    with pytest.raises(ValueError, match=message):
+        DataView(data, records[at].view_indices)
+    with pytest.raises(ValueError, match=message):
+        _audit_all(trace, data)
+    # an earlier refusal is the one raised
+    records[3] = dataclasses.replace(records[3], view_indices=records[3].view_indices[::-1].copy())
+    with pytest.raises(ValueError, match="indices must be strictly ascending"):
+        _audit_all(trace, data)
+
+
+def test_the_audit_passes_records_of_empty_views(rng):
+    n = 40
+    data = Dataset(rng.permutation(n).astype(np.float64).reshape(n, 1),
+                   rng.integers(0, 2, size=n).astype(np.int8))
+
+    def peel(view, seed):  # an empty low child and the rest high, down to one point
+        if view.n <= 1:
+            return LeafDecision(*view.label_counts())
+        lowest = int(np.argmin(view.coords(0)))
+        return SplitDecision(((0, float(view.coords(0)[lowest])),), (int(view.indices[lowest]),),
+                             (DataView(data, np.empty(0, dtype=np.int64)),
+                              DataView(data, np.delete(view.indices, lowest))))
+
+    trace = BuildTrace()
+    run_cells(CellTask(view=data.full_view(), seed=0), peel, trace=trace)
+    assert sum(r.n == 0 for r in trace.records) == n - 1
+    report = _audit_all(trace, data, peel)
+    assert report.ok and report.checked == len(trace.records), report.failures
