@@ -360,9 +360,6 @@ class _Generation:
             arity,
         )
 
-    def __len__(self) -> int:
-        return len(self.split)
-
     def __iter__(self):
         leaves = zip(self.count0.tolist(), self.count1.tolist())
         cuts = zip(self.dims.tolist(), self.thrs.tolist())
@@ -581,7 +578,7 @@ def _cut_table(generations: list, d: int, arity: int | None) -> _CutTable:
     for gen in reversed(gens):
         at = np.flatnonzero(gen.split)
         kids_leaves, kids_internals = leaves.reshape(at.size, w + 1), internals.reshape(at.size, w + 1)
-        leaves, internals = np.ones(len(gen), dtype=np.int64), gen.split.astype(np.int64)
+        leaves, internals = np.ones(gen.split.size, dtype=np.int64), gen.split.astype(np.int64)
         leaves[at] = kids_leaves.sum(axis=1)
         internals[at] += kids_internals.sum(axis=1)
         under.append((kids_leaves, kids_internals))
@@ -598,7 +595,7 @@ def _cut_table(generations: list, d: int, arity: int | None) -> _CutTable:
     for depth, (gen, (kids_leaves, kids_internals)) in enumerate(zip(gens, reversed(under))):
         at, stop = np.flatnonzero(gen.split), np.flatnonzero(~gen.split)
         base = w * before[at]
-        targets = np.empty(len(gen), dtype=np.int64)
+        targets = np.empty(gen.split.size, dtype=np.int64)
         targets[at], targets[stop] = base, ~left[stop]
         if slots is None:
             root = int(targets[0])

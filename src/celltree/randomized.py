@@ -223,18 +223,17 @@ def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, se
     viewed = viewed.astype(np.int64)
     viewed.flags.writeable = False
     xs, ys, row = _byte_view(dataset.xs[viewed]), _byte_view(dataset.ys[viewed]), 8 * dataset.d
-    leaves = zip(gen.count0.tolist(), gen.count1.tolist())
-    cuts = zip(gen.dims.tolist(), gen.thrs.tolist())
-    end = 0
-    for split, m, seed, cell_id, parent_id in zip(gen.split.tolist(), sizes.tolist(), seeds, ids, parents):
-        start, end = end, end + m
-        if split:
-            dim, thr = next(cuts)
-            fp = f"split:dims={dim}:thr={thr!r}:sizes={(m - 1) // 2},{m - 1 - (m - 1) // 2}"
-        else:
-            fp = "leaf:%d:%d" % next(leaves)
-        digest = _input_hash(seed, xs[start * row:end * row], ys[start:end])
-        trace.records.append(TraceRecord(cell_id, parent_id, m, seed, fp, digest, viewed[start:end]))
+    leaves = iter(f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
+    kept = sizes[gen.split] - 1
+    cuts = iter(f"split:dims={dim}:thr={thr!r}:sizes={low},{high}" for dim, thr, low, high in zip(
+        gen.dims.tolist(), gen.thrs.tolist(), (kept // 2).tolist(), (kept - kept // 2).tolist()))
+    ends = np.cumsum(sizes).tolist()
+    trace.records += [
+        TraceRecord(cell_id, parent_id, b - a, seed, next(cuts) if split else next(leaves),
+                    _input_hash(seed, xs[a * row:b * row], ys[a:b]), viewed[a:b])
+        for split, a, b, seed, cell_id, parent_id
+        in zip(gen.split.tolist(), [0] + ends[:-1], ends, seeds, ids, parents)
+    ]
 
 
 def build_randomized(
