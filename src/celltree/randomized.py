@@ -223,9 +223,9 @@ def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, se
     viewed = viewed.astype(np.int64)
     viewed.flags.writeable = False
     xs, ys, row = _byte_view(dataset.xs[viewed]), _byte_view(dataset.ys[viewed]), 8 * dataset.d
-    leaves = iter(f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
+    leaves = (f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
     kept = sizes[gen.split] - 1
-    cuts = iter(f"split:dims={dim}:thr={thr!r}:sizes={low},{high}" for dim, thr, low, high in zip(
+    cuts = (f"split:dims={dim}:thr={thr!r}:sizes={low},{high}" for dim, thr, low, high in zip(
         gen.dims.tolist(), gen.thrs.tolist(), (kept // 2).tolist(), (kept - kept // 2).tolist()))
     ends = np.cumsum(sizes).tolist()
     trace.records += [
