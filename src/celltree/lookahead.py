@@ -34,6 +34,7 @@ from .runtime import (
     CellTask,
     DecisionFn,
     SplitDecision,
+    _integer,
     run_cells,
 )
 
@@ -44,6 +45,10 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class LookaheadConfig:
+    """The lookahead rule's parameters. The seed is kept as a Python int: a
+    numpy integer is converted, and a bool or a non-integer raises
+    ValueError."""
+
     alpha: float
     beta: float
     d: int
@@ -66,6 +71,7 @@ class LookaheadConfig:
                 f"need 1 - d*alpha - 2*beta > 0, got {margin:.6g} "
                 f"(alpha={self.alpha}, beta={self.beta}, d={self.d})"
             )
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 def empirical_error(view: DataView) -> float:

@@ -6,11 +6,16 @@ otherwise it median-splits in a uniformly random dimension. Both draws come
 from the cell's derived stream, so a cell's subtree is a pure function of
 its view and its seed.
 
-Large cells are decided one by one by ``randomized_decision``. Once the
-cells of a frontier are small, per-cell Python cost outweighs the numpy work,
-so a build, traced or not, decides the rest of the tree a whole generation at
-a time (``_segmented_generations``), with the same draws, the same records
-and the same trace.
+``randomized_decision`` decides one cell. A build, traced or not, decides
+the whole tree from the root a generation at a time instead
+(``_segmented_generations``): the cells of a generation are independent, so
+they are decided as one batch, with the same draws, the same records and the
+same trace as cell by cell. A generation's cells are the rows of one padded
+integer matrix of point ids, and one ``np.partition`` along its rows selects
+every cell's median from the presorted ranks; no cell is sorted, and the
+matrix holds about n + cells ids. ``randomized_decision`` and
+``median_split`` remain the per-cell reference, which the tests and
+``audit_autonomy``'s replays run.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ from .runtime import (
     TraceRecord,
     _byte_view,
     _input_hash,
+    _integer,
     derive_child_seed,
     run_cells,
 )
@@ -47,7 +53,10 @@ from .runtime import (
 
 @dataclass(frozen=True)
 class RandomizedConfig:
-    """beta in (0, 1) shapes the stop probability; seed drives all draws."""
+    """beta in (0, 1) shapes the stop probability; seed drives all draws.
+
+    The seed is kept as a Python int: a numpy integer is converted, and a
+    bool or a non-integer raises ValueError."""
 
     beta: float
     seed: int = 0
@@ -55,6 +64,7 @@ class RandomizedConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 def phi(n: int, beta: float) -> float:
@@ -107,35 +117,46 @@ def randomized_decision(beta: float) -> DecisionFn:
     return decide
 
 
-# a frontier whose cells average at most this many points goes to the
-# segmented kernel; above it the per-cell path is faster
-_SEGMENTED_MEAN_POINTS = 512
+# splitmix64's constants as uint64 scalars, made once
+_G64 = np.uint64(_GOLDEN)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+# CellRng's state at its first and second draw, less the seed
+_DRAWS = np.array([0, _GOLDEN], dtype=np.uint64)
+# what derive_child_seed mixes into splitmix64(seed) for children 0 and 1
+_CHILD_SALTS = np.array([_GOLDEN, _GOLDEN + 1], dtype=np.uint64)
 
 
 def _splitmix64s(x: np.ndarray) -> np.ndarray:
     """``splitmix64`` over a uint64 array; numpy's uint64 arithmetic wraps
     exactly as the scalar version's 64-bit mask does."""
-    x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = x + _G64
+    x ^= x >> 30
+    x *= _MIX1
+    x ^= x >> 27
+    x *= _MIX2
+    x ^= x >> 31
+    return x
+
+
+def _draws(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``randomized_decision``'s two draws from ``CellRng(seed)``'s first two
+    ``next_u64()`` words, (seeds, 2): ``uniform()``, then ``randint(d)`` (as
+    int64)."""
+    u = (words[:, 0] >> 11).astype(np.float64) * (1.0 / (1 << 53))
+    # the high word of second * d, from its 32-bit halves: exact for d < 2^32
+    second, k = words[:, 1], np.uint64(d)
+    high, low = second >> 32, second & np.uint64(0xFFFFFFFF)
+    return u, ((high * k + ((low * k) >> 32)) >> 32).astype(np.int64)
 
 
 def _cell_draws(seeds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per uint64 seed, ``randomized_decision``'s two draws from
-    ``CellRng(seed)``: ``uniform()``, then ``randint(d)`` (as int64)."""
-    first = _splitmix64s(seeds)
-    second = _splitmix64s(seeds + np.uint64(_GOLDEN))
-    u = (first >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-    # the high word of second * d, from its 32-bit halves: exact for d < 2^32
-    k, half = np.uint64(d), np.uint64(32)
-    high, low = second >> half, second & np.uint64(0xFFFFFFFF)
-    return u, ((high * k + ((low * k) >> half)) >> half).astype(np.int64)
+    """``_draws`` per uint64 seed."""
+    return _draws(_splitmix64s(seeds[:, None] + _DRAWS), d)
 
 
 def _child_seeds(seeds: np.ndarray, j: int) -> np.ndarray:
-    """``derive_child_seed(seed, j)`` over a uint64 array of seeds."""
-    return _splitmix64s(_splitmix64s(seeds) ^ np.uint64(j + _GOLDEN))
+    """``derive_child_seed(seed, j)`` per uint64 seed."""
+    return _splitmix64s(_splitmix64s(seeds) ^ _CHILD_SALTS[j])
 
 
 def _segmented_generations(
@@ -146,71 +167,110 @@ def _segmented_generations(
     generation: each iterates as ``run_cells``' records, per cell in
     frontier order a ``Leaf``, or ``(((dim, threshold),), (pivot,), 2)``.
 
-    ``points`` holds the live points grouped by cell in frontier order.
-    Each generation sorts the splitting cells' points by (cell, rank in the
-    cell's cut dimension), so a cell's median is the point at its start +
-    (m - 1) // 2, and removing the pivots leaves each cell's low child and
-    then its high child as contiguous runs, in frontier order. Draws and
-    stop rule are ``randomized_decision``'s, so every record is the one it
-    would give cell by cell. With ``trace``, each generation appends the
-    ``TraceRecord``s that ``run_cells`` would, after one more sort of its
-    points by (cell, index). Clears ``frontier`` once its points are copied.
+    A generation's live cells are the rows of one integer matrix, cells x
+    width, in frontier order. Each row holds its cell's point ids ascending
+    at its front; the slots behind them are filler, told apart by column,
+    not by id. Rows that stop leave by ``compress(axis=0)``, their label
+    counts summed over real slots only; ``_cut_rows`` cuts the rest. Draws
+    and stop rule are ``randomized_decision``'s, so every record is the one
+    it would give cell by cell. With ``trace``, each generation appends the
+    ``TraceRecord``s that ``run_cells`` would, each view's indices being its
+    row's real prefix.
+
+    Memory: the matrix is as wide as the widest splitting cell. From the
+    root, one generation's cell sizes differ by at most one, so the matrix
+    holds about n + cells ids. A frontier handed in with uneven cells, which
+    only tests do, is padded to its widest cell. Clears ``frontier`` once
+    its points are copied.
     """
     dataset = frontier[0].view.dataset
-    n, d, xs, ys, ranks = dataset.n, dataset.d, dataset.xs, dataset.ys, dataset._rank_table
+    d, xs, ys = dataset.d, dataset.xs, dataset.ys
     sizes = np.array([task.view.n for task in frontier], dtype=np.int64)
     seeds = np.array([task.seed & _MASK64 for task in frontier], dtype=np.uint64)
-    points = np.concatenate(
-        [task.view.indices for task in frontier],
-        dtype=_index_dtype(n),
-        casting="same_kind",
-    )
+    cells = np.zeros((sizes.size, sizes.max()), dtype=_index_dtype(dataset.n))  # filler id 0
+    for row, task in zip(cells, frontier):
+        row[:task.view.n] = task.view.indices
     if trace is not None:
         cell_ids = [task.cell_id for task in frontier]
         parent_ids = [task.parent_id for task in frontier]
         given = [task.seed for task in frontier]  # recorded as given: -1 stays -1
     frontier.clear()
     generations: list[_Generation] = []
-    while sizes.size:
+    while True:
         if trace is not None:
-            # each cell's points in ascending order, as its view holds them
-            cell_base = np.repeat(np.arange(sizes.size, dtype=np.int64) * n, sizes)
-            viewed = np.sort(cell_base + points) - cell_base
-            del cell_base
-        u, dims = _cell_draws(seeds, d)
+            real = np.arange(cells.shape[1]) < sizes[:, None]
+            viewed = cells.reshape(-1).compress(real.reshape(-1))
+        # CellRng's first two words; the first, splitmix64(seed), is where
+        # derive_child_seed starts too
+        words = _splitmix64s(seeds[:, None] + _DRAWS)
+        u, dims = _draws(words, d)
         # phi on math, once per size: numpy's log can differ in the last bit
-        distinct, which = np.unique(sizes, return_inverse=True)
-        stop = u <= np.array([phi(m, beta) for m in distinct.tolist()])[which]
-        ones = np.concatenate(([0], np.cumsum(ys[points], dtype=np.int64)))
-        ends = np.cumsum(sizes)
-        ones = ones[ends] - ones[ends - sizes]
-        split = np.flatnonzero(~stop)
-        cut, kept = dims[split], sizes[split]
-        # boolean indexing, not compress: on a mask of long runs it is faster
-        # (0.65 against 1.50 ms for 600k points in runs of 300, numpy 2.4)
-        points = points[np.repeat(~stop, sizes)]
-        # distinct keys, since ranks[j] is a permutation of 0..n-1
-        key = np.repeat(np.arange(split.size, dtype=np.int64) * n, kept)
-        key += ranks[np.repeat(cut, kept), points]
-        points = points[np.argsort(key)]
-        del key
-        low = (kept - 1) // 2
-        pivot_at = np.cumsum(kept) - kept + low
-        pivots = points[pivot_at]
-        gen = _Generation(~stop, sizes[stop] - ones[stop], ones[stop], cut, xs[pivots, cut], pivots, 2)
+        least = int(sizes.min())
+        phis = np.array([phi(m, beta) for m in range(least, int(sizes.max()) + 1)])
+        stop = u <= phis[sizes - least]
+        split = ~stop
+        stopped, kept, cut = sizes[stop], sizes[split], dims[split]
+        ones = stopped  # empty unless a row stops
+        if stopped.size:  # label 1 summed over each stopping row's real slots
+            labels = ys.take(cells.compress(stop, axis=0))
+            if stopped.min() < cells.shape[1]:
+                labels &= np.arange(cells.shape[1]) < stopped[:, None]
+            ones = labels.sum(axis=1, dtype=cells.dtype)
+        pivots = np.empty(0, dtype=cells.dtype)
+        if kept.size:
+            if stopped.size:  # the widest splitting cell sets the width
+                cells = cells[:, :kept.max()].compress(split, axis=0)
+            pivots, cells = _cut_rows(cells, kept, cut, dataset)
+        gen = _Generation(split, stopped - ones, ones, cut, xs[pivots, cut], pivots, 2)
         generations.append(gen)
         if trace is not None:
             _trace_generation(trace, gen, sizes, given or seeds.tolist(), cell_ids, parent_ids,
                               viewed, dataset)
-            parent_ids = [cell_ids[i] for i in split.tolist() for _ in (0, 1)]
+            parent_ids = [cell_ids[i] for i in np.flatnonzero(split).tolist() for _ in (0, 1)]
             cell_ids = [f"{parent}.{j}" for parent in parent_ids[::2] for j in (0, 1)]
             given = None
-        # np.delete, not a keep-mask and compress: 0.60 against 1.42 ms at that size
-        points = np.delete(points, pivot_at)
-        sizes = np.column_stack((low, kept - 1 - low)).ravel()
-        parents = seeds[split]
-        seeds = np.column_stack((_child_seeds(parents, 0), _child_seeds(parents, 1))).ravel()
-    return generations
+        if not kept.size:
+            return generations
+        # each split's low child, then its high child
+        sizes = ((kept[:, None] - (1, 0)) // 2).ravel()
+        seeds = _splitmix64s(words[split, :1] ^ _CHILD_SALTS).ravel()
+
+
+def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut: np.ndarray,
+              dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Median-cut every row of ``cells``, row i holding ``kept[i]`` point
+    ids ascending before its filler, in dimension ``cut[i]``; the widest row
+    has no filler. Returns the pivots and the next matrix: each row's low
+    child, then its high child.
+
+    The rows' ranks are gathered from the rank table, and filler slots get
+    rank -1 or n by position, so many of each that every row's median, its
+    r-th smallest rank, r = (kept[i] + 1) // 2, lands in the common column
+    R - 1, R = (W + 1) // 2 for width W. One ``np.partition`` along the
+    rows then selects every median. Since ranks are distinct, comparing
+    each row with its median gives the pivots, and R - 1 and W - R slots per
+    row below and above it: the low and high children, real ids ascending
+    in front of their filler. ``compress`` takes all three; boolean indexing
+    returns the same and is 3-4x slower (numpy 2.4).
+    """
+    n, width = dataset.n, cells.shape[1]
+    rank = (width + 1) // 2
+    # the flat index dim * n + id reaches d * n, beyond int32 before the ids do
+    at = (cut * n).astype(_index_dtype(dataset.d * n))[:, None] + cells
+    rk = dataset._rank_table.reshape(-1).take(at)  # a view of the table, not a copy
+    del at
+    least = int(kept.min())
+    if least < width:  # row i's filler: rank -1 up to column rank + kept[i] // 2, then n
+        cols = np.arange(least, width)
+        np.copyto(rk[:, least:], np.where(cols < (rank + kept // 2)[:, None], -1, n),
+                  where=cols >= kept[:, None])
+    med = np.partition(rk, rank - 1, axis=1)[:, rank - 1:rank].copy()  # frees the partitioned copy
+    ids = cells.reshape(-1)
+    nxt = np.empty((kept.size, 2, width - rank), dtype=cells.dtype)
+    nxt[:, 0, :rank - 1] = ids.compress((rk < med).reshape(-1)).reshape(-1, rank - 1)
+    nxt[:, 0, rank - 1:] = 0  # a filler slot where the width is even
+    nxt[:, 1] = ids.compress((rk > med).reshape(-1)).reshape(-1, width - rank)
+    return ids.compress((rk == med).reshape(-1)), nxt.reshape(-1, width - rank)
 
 
 def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, seeds: list,
@@ -222,7 +282,8 @@ def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, se
     each cell's in ascending order."""
     viewed = viewed.astype(np.int64)
     viewed.flags.writeable = False
-    xs, ys, row = _byte_view(dataset.xs[viewed]), _byte_view(dataset.ys[viewed]), 8 * dataset.d
+    xs, ys = _byte_view(dataset.xs.take(viewed, axis=0)), _byte_view(dataset.ys.take(viewed))
+    row = 8 * dataset.d
     leaves = (f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
     kept = sizes[gen.split] - 1
     cuts = (f"split:dims={dim}:thr={thr!r}:sizes={low},{high}" for dim, thr, low, high in zip(
@@ -244,13 +305,9 @@ def build_randomized(
 ) -> PartitionTree:
     root = CellTask(view=data.full_view(), seed=config.seed)
 
-    def handover(frontier: list[CellTask]) -> list[_Generation] | None:
-        if sum(task.view.n for task in frontier) > _SEGMENTED_MEAN_POINTS * len(frontier):
-            return None
-        return _segmented_generations(frontier, config.beta, trace)
-
     generations = run_cells(
-        root, randomized_decision(config.beta), workers=workers, trace=trace, _handover=handover,
+        root, randomized_decision(config.beta), workers=workers, trace=trace,
+        _handover=lambda frontier: _segmented_generations(frontier, config.beta, trace),
         _records=True,
     )
     return PartitionTree._of_generations(generations, data.d, "binary", {

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import operator
 import random
 import struct
 from dataclasses import dataclass, field
@@ -37,6 +38,17 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as the Python int that a seed or a count must be: a numpy
+    integer becomes one; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def derive_child_seed(parent_seed: int, child_index: int) -> int:
@@ -187,7 +199,7 @@ def run_cells(
     which the cells were decided. ``shuffle_seed`` randomizes that order
     inside each frontier (used by tests to demonstrate schedule
     independence); the assembled tree does not change. ``workers`` is
-    accepted and checked to be >= 1, and changes nothing.
+    accepted and checked to be an integer >= 1, and changes nothing.
 
     ``_handover`` lets a builder finish the build its own way: it is offered
     each frontier before that frontier is decided, traced builds included,
@@ -201,7 +213,7 @@ def run_cells(
     With ``_records``, the generation records are returned instead of the
     node tree, for ``PartitionTree._of_generations``.
     """
-    if workers < 1:
+    if _integer(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
     shuffler = random.Random(shuffle_seed) if shuffle_seed is not None else None
 

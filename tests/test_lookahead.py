@@ -413,3 +413,19 @@ def test_carried_share_is_freed_once_the_child_decides():
     run_cells(CellTask(view=data.full_view(), seed=cfg.seed), spy)
     assert len(carried) > 4
     assert all(child._share is None for child in carried)
+
+
+def test_a_numpy_integer_seed_builds_as_the_python_int(rng):
+    data = make_dataset(rng, 300, 2)
+    doc = serialize_tree(build_lookahead(data, LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=3)))
+    for seed in (np.int64(3), np.uint64(3)):
+        config = LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=seed)
+        assert type(config.seed) is int and config.seed == 3
+        assert serialize_tree(build_lookahead(data, config)) == doc
+    assert LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", (1.5, True, np.True_, "3", None))
+def test_a_seed_that_is_no_integer_is_refused(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=seed)

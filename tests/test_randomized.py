@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -370,3 +371,123 @@ def test_a_traced_build_records_what_the_per_cell_build_records(n, d, seed):
         assert np.array_equal(got.view_indices, want.view_indices)
     report = audit_autonomy(built, data, randomized_decision(0.99), sample=len(built.records))
     assert report.ok and report.checked == len(built.records), report.failures
+
+
+# ---------------------------------------------------------------------------
+# the padded-row kernel: every build runs it from the root
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 400),
+    d=st.integers(1, 4),
+    beta=st.floats(0.05, 0.99),
+    seed=st.sampled_from((-1, 0, 2**63, 2**64 - 1)),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_build_matches_the_per_cell_build(n, d, beta, seed, data_seed):
+    data = _differential_data(n, d, True, data_seed)  # a grid: ties are the common case
+    config = RandomizedConfig(beta=beta, seed=seed)
+    built, reference = BuildTrace(), BuildTrace()
+    doc = serialize_tree(build_randomized(data, config, trace=built))
+    assert doc == serialize_tree(_per_cell_build(data, config, reference))
+    assert doc == serialize_tree(build_randomized(data, config))
+    assert built.lines() == reference.lines()
+
+
+def test_kernel_decides_a_frontier_of_uneven_cells_as_the_per_cell_path():
+    from celltree.core import _assemble
+    from celltree.randomized import _segmented_generations
+
+    # cells of 0, 1, 2, 3 and 500 points with unrelated seeds: the matrix is
+    # padded to 500 columns, so most of its slots are filler
+    beta = 0.99
+    data = _differential_data(506, 2, True, 17)
+    order = np.random.default_rng(17).permutation(506)
+    cells = [np.sort(c) for c in np.split(order, [0, 1, 3, 6])]
+    assert [c.size for c in cells] == [0, 1, 2, 3, 500]
+    frontier = [
+        CellTask(DataView(data, c), derive_child_seed(2**64 - 1, 7 * i + 3), cell_id=f"r{i}")
+        for i, c in enumerate(cells)
+    ]
+    decide = randomized_decision(beta)
+    reference, reference_trace = [], BuildTrace()
+    for task in frontier:
+        reference.append(run_cells(task, decide, trace=reference_trace))
+    kernel_trace = BuildTrace()
+    kernel = _assemble(_segmented_generations(list(frontier), beta, kernel_trace))
+    assert isinstance(reference[-1], Internal)
+    assert repr(kernel) == repr(reference)
+    # the kernel records generation by generation, run_cells cell tree by cell tree
+    assert sorted(kernel_trace.lines()) == sorted(reference_trace.lines())
+
+
+def test_wide_gather_indices_give_the_same_build(monkeypatch):
+    # from d * n >= 2^31 on, ids and gather indices are int64; force that here
+    from celltree import randomized
+
+    data = _differential_data(3_000, 3, True, 5)
+    config = RandomizedConfig(beta=0.99, seed=2**63)
+    narrow, wide = BuildTrace(), BuildTrace()
+    doc = serialize_tree(build_randomized(data, config, trace=narrow))
+    monkeypatch.setattr(randomized, "_index_dtype", lambda n: np.int64)
+    assert serialize_tree(build_randomized(data, config, trace=wide)) == doc
+    assert wide.lines() == narrow.lines()
+
+
+def test_a_build_neither_sorts_nor_splits_cell_by_cell(monkeypatch):
+    from celltree import randomized
+
+    data = _differential_data(3_000, 2, True, 3)
+    data._rank_table  # the presort is the one argsort a build may need
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a randomized build sorted or split a single cell")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(randomized, "median_split", refuse)
+    config = RandomizedConfig(beta=0.99, seed=11)
+    trace = BuildTrace()
+    tree = build_randomized(data, config, trace=trace)
+    assert tree_stats(build_randomized(data, config)).internals == tree_stats(tree).internals > 100
+    assert len(trace.records) > 200
+
+
+# ---------------------------------------------------------------------------
+# seeds and worker counts
+
+
+def test_a_numpy_integer_seed_builds_as_the_python_int():
+    data = _differential_data(2_000, 2, True, 8)
+    for seed in (3, 2**63 + 5, 2**64 - 1):
+        for numpy_seed in (np.int64(seed) if seed < 2**63 else np.uint64(seed), np.uint64(seed)):
+            config = RandomizedConfig(beta=0.9, seed=numpy_seed)
+            assert type(config.seed) is int and config.seed == seed
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy overflow warning either
+                doc = serialize_tree(build_randomized(data, config))
+            reference = build_randomized(data, RandomizedConfig(beta=0.9, seed=seed))
+            assert doc == serialize_tree(reference)
+
+
+@pytest.mark.parametrize("seed", (1.5, 2.0, True, False, np.True_, "3", None))
+def test_a_seed_that_is_no_integer_is_refused(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RandomizedConfig(beta=0.5, seed=seed)
+
+
+@pytest.mark.parametrize("workers", (1.5, True, np.True_, "2"))
+def test_a_worker_count_that_is_no_integer_is_refused(workers):
+    data = _differential_data(50, 1, False, 1)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        build_randomized(data, RandomizedConfig(beta=0.5), workers=workers)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_cells(CellTask(data.full_view(), 0), randomized_decision(0.5), workers=workers)
+
+
+def test_a_numpy_integer_worker_count_is_accepted():
+    data = _differential_data(500, 2, True, 2)
+    config = RandomizedConfig(beta=0.9, seed=1)
+    assert serialize_tree(build_randomized(data, config, workers=np.int64(2))) == serialize_tree(
+        build_randomized(data, config))
