@@ -149,6 +149,8 @@ def cmd_eval(args) -> int:
         raise UsageError("eval needs --tree unless --oracle is given")
     if args.m < 1:
         raise UsageError("--m must be >= 1")
+    if args.dist is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0 for the test draws, got {args.seed}")
 
     tree = None if args.oracle else _load_tree(args.tree)
 

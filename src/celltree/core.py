@@ -626,12 +626,6 @@ def _cut_table(generations: list, d: int, arity: int | None) -> _CutTable:
     )
 
 
-def _leaf_routes(tree: PartitionTree, X: np.ndarray) -> tuple[list[Leaf], np.ndarray, np.ndarray]:
-    """Batch routing: the leaves left to right, their depths, and each query
-    row's leaf index (int64). Raises ValueError where ``route`` does."""
-    return tree._cuts.leaves, tree._cuts.depths, tree._cuts.leaf_of(X)
-
-
 def predict_batch(tree: PartitionTree, X: np.ndarray) -> np.ndarray:
     return tree._cuts.labels[tree._cuts.leaf_of(X)]
 

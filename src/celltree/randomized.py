@@ -47,7 +47,8 @@ from .runtime import (
     _input_hash,
     _integer,
     derive_child_seed,
-    run_cells,
+    # run_cells stays importable here, where perfbench/layers.py rebinds it
+    run_cells,  # noqa: F401
 )
 
 
@@ -190,6 +191,7 @@ def _segmented_generations(
     cells = np.zeros((sizes.size, sizes.max()), dtype=_index_dtype(dataset.n))  # filler id 0
     for row, task in zip(cells, frontier):
         row[:task.view.n] = task.view.indices
+    del task  # the last task: clearing frontier below then frees every view
     if trace is not None:
         cell_ids = [task.cell_id for task in frontier]
         parent_ids = [task.parent_id for task in frontier]
@@ -303,13 +305,12 @@ def build_randomized(
     workers: int = 1,
     trace: BuildTrace | None = None,
 ) -> PartitionTree:
-    root = CellTask(view=data.full_view(), seed=config.seed)
-
-    generations = run_cells(
-        root, randomized_decision(config.beta), workers=workers, trace=trace,
-        _handover=lambda frontier: _segmented_generations(frontier, config.beta, trace),
-        _records=True,
-    )
+    """Decide the tree from the root in ``_segmented_generations``. Builds
+    run in one thread: ``workers`` is checked to be an integer >= 1, as
+    ``run_cells`` checks it, and changes nothing."""
+    if _integer(workers, "workers") < 1:
+        raise ValueError("workers must be >= 1")
+    generations = _segmented_generations([CellTask(data.full_view(), config.seed)], config.beta, trace)
     return PartitionTree._of_generations(generations, data.d, "binary", {
         "algo": "randomized",
         "beta": config.beta,
@@ -324,7 +325,9 @@ def build_ensemble(
     t: int,
     workers: int = 1,
 ) -> list[PartitionTree]:
-    """t independent trees; member i runs on seed derived from (seed, i)."""
+    """t independent trees; member i runs on seed derived from (seed, i).
+    ``t`` is read as seeds are: a bool or a non-integer raises ValueError."""
+    t = _integer(t, "t")
     if t < 1:
         raise ValueError("t must be >= 1")
     trees = []

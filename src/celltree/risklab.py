@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, _leaf_routes, predict_batch, route_depths
+from .core import Dataset, PartitionTree, predict_batch, route_depths
 from .lookahead import LookaheadConfig, build_lookahead
 from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
@@ -129,9 +129,12 @@ def empirical_risk(
     for any m: Y's uniforms come from a second generator on the same seed,
     advanced past X's m * d draws, and the errors are counted as an integer.
     Standard error is the binomial sqrt(p(1-p)/m) of the estimate itself.
+    ``seed`` must be >= 0, as ``PCG64`` takes it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     x_rng = np.random.Generator(np.random.PCG64(seed))
     y_rng = np.random.Generator(np.random.PCG64(seed))
     y_rng.bit_generator.advance(m * dist.d)
@@ -185,7 +188,7 @@ def estimate_level_risk(
         etas = np.empty(0, dtype=np.float64)
         for _ in range(_MAX_SAMPLE_ROUNDS):
             batch = dist.sample_x(_LEAF_SAMPLE_TARGET * cells, int(rng.integers(1 << 63)))
-            leaf_of = np.concatenate([leaf_of, _leaf_routes(tree, batch)[2]])
+            leaf_of = np.concatenate([leaf_of, tree._cuts.leaf_of(batch)])
             etas = np.concatenate([etas, dist.eta(batch)])
             counts = np.bincount(leaf_of, minlength=cells)
             if counts[counts > 0].min(initial=_LEAF_SAMPLE_TARGET) >= _LEAF_SAMPLE_TARGET:

@@ -189,7 +189,6 @@ def run_cells(
     workers: int = 1,
     trace: BuildTrace | None = None,
     shuffle_seed: int | None = None,
-    _handover: Callable[[list[CellTask]], list | None] | None = None,
     _records: bool = False,
 ) -> Node | list:
     """Execute a cell tree to completion and assemble the node tree.
@@ -200,15 +199,6 @@ def run_cells(
     inside each frontier (used by tests to demonstrate schedule
     independence); the assembled tree does not change. ``workers`` is
     accepted and checked to be an integer >= 1, and changes nothing.
-
-    ``_handover`` lets a builder finish the build its own way: it is offered
-    each frontier before that frontier is decided, traced builds included,
-    and returns None to leave it to ``decide``, or the records (kept as
-    below, or as ``core._Generation`` columns) of that generation and of
-    every generation under it, which end the build. In a traced build it
-    appends those generations' trace records, as ``run_cells`` would. It may
-    clear the frontier list once it has read the tasks, which frees their
-    views while it runs.
 
     With ``_records``, the generation records are returned instead of the
     node tree, for ``PartitionTree._of_generations``.
@@ -224,10 +214,6 @@ def run_cells(
     generations: list[list] = []
     frontier: list[CellTask] = [root]
     while frontier:
-        rest = _handover(frontier) if _handover is not None else None
-        if rest is not None:
-            generations.extend(rest)
-            break
         order = list(range(len(frontier)))
         if shuffler is not None:
             shuffler.shuffle(order)
@@ -266,9 +252,6 @@ def run_cells(
                         parent_id=task.cell_id,
                     )
                 )
-        # the decisions hold the next frontier's views too: drop them, so
-        # that a handover which clears the frontier frees those views
-        del results
         generations.append(cells)
         frontier = nxt
     return generations if _records else _assemble(generations)[0]

@@ -379,6 +379,20 @@ def test_eval_rejects_non_positive_m_exit_2(capsys, m):
     assert "--m" in stderr
 
 
+def test_eval_rejects_a_negative_seed_for_test_draws_exit_2(tmp_path, train_csv, capsys):
+    tree = tmp_path / "tree.json"
+    run(capsys, "train", "--algo", "randomized", "--data", train_csv, "--seed", "-1", "--out", tree)
+    for source in (("--oracle",), ("--tree", tree)):
+        code, stdout, stderr = run(capsys, "eval", *source, "--dist", "d-lin", "--m", "100",
+                                   "--seed", "-1")
+        assert code == 2 and stdout == ""
+        assert_one_line_error(stderr)
+        assert "--seed" in stderr
+    # a CSV evaluation draws nothing, so its seed is not read
+    code, stdout, _ = run(capsys, "eval", "--tree", tree, "--data", train_csv, "--seed", "-1")
+    assert code == 0 and stdout.startswith("error_rate=")
+
+
 @pytest.mark.parametrize("dist", ["d-lin", "d-const"])
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_non_positive_dim_exit_2(tmp_path, capsys, dist, dim):

@@ -247,6 +247,14 @@ def test_ensemble_members_differ(rng):
     assert len({serialize_tree(t) for t in members}) > 1
 
 
+@pytest.mark.parametrize("t", (True, np.True_, 2.0, "2", None))
+def test_an_ensemble_size_that_is_no_integer_is_refused(rng, t):
+    data = make_dataset(rng, 50, 1)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        build_ensemble(data, RandomizedConfig(beta=0.5), t=t)
+    assert len(build_ensemble(data, RandomizedConfig(beta=0.5), t=np.int64(2))) == 2
+
+
 # ---------------------------------------------------------------------------
 # the untraced build against the traced one, which decides every cell alone
 
@@ -284,7 +292,7 @@ def test_untraced_build_matches_traced_build(d, grid, n, beta, seed, workers, da
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_untraced_build_matches_traced_build_from_a_small_root(workers):
-    # 300 points: the whole build is small cells from the root on
+    # 300 points: a shallow build of small cells
     data = _differential_data(300, 2, True, 300)
     _assert_untraced_matches_traced(data, RandomizedConfig(beta=0.5, seed=-1), workers)
 
@@ -312,6 +320,7 @@ def test_vectorized_draws_match_cell_rng(d):
 @pytest.mark.parametrize("d", (1, 2, 3, 5))
 @pytest.mark.parametrize("seed", (-1, 0, 2**63))
 def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
+    from celltree.core import _assemble
     from celltree.randomized import _segmented_generations
 
     beta = 0.99
@@ -319,7 +328,7 @@ def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
     root = CellTask(view=data.full_view(), seed=seed)
     decide = randomized_decision(beta)
     reference = run_cells(root, decide)
-    kernel = run_cells(root, decide, _handover=lambda frontier: _segmented_generations(frontier, beta))
+    kernel = _assemble(_segmented_generations([root], beta))[0]
     assert tree_stats(PartitionTree(reference, d, "binary", {})).internals > 50
     # repr tells a numpy integer or float from the Python one the writer needs
     assert repr(kernel) == repr(reference)
@@ -348,13 +357,14 @@ def test_kernel_decides_a_mid_build_frontier_as_the_per_cell_build():
 
 
 def _per_cell_build(data: Dataset, config: RandomizedConfig, trace: BuildTrace) -> PartitionTree:
-    """``run_cells`` without the handover, wrapped as ``build_randomized`` wraps it."""
+    """The per-cell ``run_cells`` reference, wrapped as ``build_randomized``
+    wraps the kernel's records."""
     node = run_cells(CellTask(data.full_view(), config.seed), randomized_decision(config.beta), trace=trace)
     return PartitionTree(root=node, d=data.d, mode="binary", config={
         "algo": "randomized", "beta": config.beta, "seed": config.seed, "n": data.n})
 
 
-@pytest.mark.parametrize("n", (300, 3_000))  # the handover comes at the root, then mid-build
+@pytest.mark.parametrize("n", (300, 3_000))  # a shallow and a deeper build, both from the root
 @pytest.mark.parametrize("d", (1, 2, 3, 5))
 @pytest.mark.parametrize("seed", (-1, 0, 2**63))
 def test_a_traced_build_records_what_the_per_cell_build_records(n, d, seed):
@@ -393,6 +403,32 @@ def test_kernel_build_matches_the_per_cell_build(n, d, beta, seed, data_seed):
     assert doc == serialize_tree(_per_cell_build(data, config, reference))
     assert doc == serialize_tree(build_randomized(data, config))
     assert built.lines() == reference.lines()
+
+
+@pytest.mark.parametrize("traced", (False, True))
+def test_the_root_view_indices_are_freed_before_the_first_cut(monkeypatch, traced):
+    import weakref
+
+    from celltree import randomized
+
+    data = _differential_data(3_000, 2, True, 5)
+    full_view, cut_rows = Dataset.full_view, randomized._cut_rows
+    roots, alive = [], []
+
+    def tracked_full_view(self):
+        view = full_view(self)
+        roots.append(weakref.ref(view.indices))
+        return view
+
+    def tracked_cut_rows(*args):
+        alive.append([root() is not None for root in roots])
+        return cut_rows(*args)
+
+    monkeypatch.setattr(Dataset, "full_view", tracked_full_view)
+    monkeypatch.setattr(randomized, "_cut_rows", tracked_cut_rows)
+    build_randomized(data, RandomizedConfig(beta=0.99, seed=0), trace=BuildTrace() if traced else None)
+    assert len(roots) == 1 and len(alive) > 5
+    assert alive[0] == [False]
 
 
 def test_kernel_decides_a_frontier_of_uneven_cells_as_the_per_cell_path():
@@ -484,6 +520,13 @@ def test_a_worker_count_that_is_no_integer_is_refused(workers):
         build_randomized(data, RandomizedConfig(beta=0.5), workers=workers)
     with pytest.raises(ValueError, match="workers must be an integer"):
         run_cells(CellTask(data.full_view(), 0), randomized_decision(0.5), workers=workers)
+
+
+@pytest.mark.parametrize("workers", (0, -1))
+def test_a_worker_count_below_one_is_refused(workers):
+    data = _differential_data(50, 1, False, 1)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        build_randomized(data, RandomizedConfig(beta=0.5), workers=workers)
 
 
 def test_a_numpy_integer_worker_count_is_accepted():

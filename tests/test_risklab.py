@@ -24,7 +24,6 @@ from celltree import (
     tree_predictor,
     write_risk_csv,
 )
-from celltree.core import _leaf_routes
 from celltree.median import _partition_tree
 from celltree.risklab import (
     _LEAF_SAMPLE_TARGET,
@@ -165,6 +164,13 @@ def test_empirical_risk_of_constant_rule_on_checkerboard():
     assert abs(est.mean - 0.5) <= 3 * est.std_error
 
 
+@pytest.mark.parametrize("seed", (-1, -(2**63)))
+def test_empirical_risk_refuses_a_negative_seed(seed):
+    dist = get_distribution("d-lin", d=1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        empirical_risk(constant_predictor(0), dist, m=10, seed=seed)
+
+
 def test_bayes_rule_achieves_its_advertised_risk():
     dist = get_distribution("d-lin", d=2)
     est = empirical_risk(bayes_predictor(dist), dist, m=200_000, seed=9)
@@ -239,7 +245,7 @@ def _mask_level_risk_mean(dist, n, k, reps, seed):
         etas = np.empty(0, dtype=np.float64)
         for _ in range(_MAX_SAMPLE_ROUNDS):
             batch = dist.sample_x(_LEAF_SAMPLE_TARGET * cells, int(rng.integers(1 << 63)))
-            leaf_of = np.concatenate([leaf_of, _leaf_routes(tree, batch)[2]])
+            leaf_of = np.concatenate([leaf_of, tree._cuts.leaf_of(batch)])
             etas = np.concatenate([etas, dist.eta(batch)])
             counts = np.bincount(leaf_of, minlength=cells)
             if counts[counts > 0].min(initial=_LEAF_SAMPLE_TARGET) >= _LEAF_SAMPLE_TARGET:

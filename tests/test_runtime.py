@@ -179,8 +179,8 @@ def test_worker_error_propagates_from_the_pool(rng):
 def test_no_thread_starts_at_any_worker_count(tmp_path, monkeypatch):
     """Builds run in one thread: ``workers`` is checked and changes nothing.
 
-    The randomized build is large enough to hand its small cells to the
-    segmented kernel, and the lookahead build splits below the root.
+    The randomized build runs the segmented kernel several generations
+    deep, and the lookahead build splits below the root.
     """
     xs = np.random.default_rng(5).random((3000, 2))
     data = Dataset(xs, (xs.sum(axis=1) > 1).astype(np.int8))
