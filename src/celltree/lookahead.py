@@ -7,14 +7,16 @@ the improvement does not beat (n + 1)^(-beta), splitting is not worth it and
 the cell stops. Both quantities come from the cell's own points, so the rule
 is deterministic and cellular.
 
-Each probe level is grown once. A cell that splits commits exactly one full
-2^d-ary level, the first level of its own probe when it grew that level, and
-hands each child the child's share of the probe: the label counts of every
-deeper level in the child's block of canonical cells, and the deepest level's
-views. The share is the child's own probe, which the child would have grown
-from its own points, so a child grows at most the levels below it. A view
-that carries no share (the root, a detached copy, a direct call) grows its
-probe from scratch.
+Each probe level is grown once, by the one median kernel: the deepest level
+is an id matrix, one row per cell in canonical order, and ``median._level``
+grows a full level under every row at once. A cell that splits commits one
+full 2^d-ary level, the first level of its own probe when it grew that
+level, and hands each child its share of the probe: the label counts of
+every deeper level in the child's block of canonical cells, and its block of
+the deepest rows. The share is the child's own probe, which the child would
+have grown from its own points, so a child grows at most the levels below
+it. A view that carries no share (the root, a detached copy, a direct call)
+grows its probe from scratch.
 
 Float determinism note: the error formulas below fix the evaluation order
 (single division per term, leaf terms accumulated left to right in canonical
@@ -27,8 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Dataset, DataView, Leaf, PartitionTree
-from .median import LevelSplit, _grow_levels, full_level_split
+from .median import _level, _row_ones, _rows, _splits, full_level_split
 from .runtime import (
     BuildTrace,
     CellTask,
@@ -92,28 +96,29 @@ def k_plus(n: int, alpha: float) -> int:
     return int(math.floor(alpha * math.log2(n + 1)))
 
 
+@dataclass(slots=True)
 class _Probe:
     """A cell's scratch partition, some levels deep.
 
     ``counts[i]`` holds the (count0, count1) of the 2^{di} cells of level i
-    in canonical order (level 0 is the cell itself), ``leaves`` the views of
-    the deepest level, and ``first`` the cell's own first level when this
-    probe grew it.
+    in canonical order (level 0 is the cell itself). ``cells`` and ``sizes``
+    are the deepest level's rows, as ``median._level`` grows them: an id
+    matrix and each row's number of real ids. ``first`` is what ``_level``
+    returned for the cell's own first level, when this probe grew it.
     """
 
-    __slots__ = ("counts", "leaves", "first")
-
-    def __init__(self, counts: list, leaves: list, first: LevelSplit | None = None):
-        self.counts = counts
-        self.leaves = leaves
-        self.first = first
+    counts: list
+    cells: np.ndarray
+    sizes: np.ndarray
+    first: tuple | None = None
 
     def share(self, j: int, arity: int) -> "_Probe":
-        """Child j's block of every deeper level: the child's own probe."""
-        counts = [level[j * (len(level) // arity):(j + 1) * (len(level) // arity)]
-                  for level in self.counts[1:]]
-        width = len(self.leaves) // arity
-        return _Probe(counts, self.leaves[j * width:(j + 1) * width])
+        """Child j's block of every deeper level and of the rows: the child's own probe."""
+
+        def block(level):
+            return level[j * (len(level) // arity):(j + 1) * (len(level) // arity)]
+
+        return _Probe([block(level) for level in self.counts[1:]], block(self.cells), block(self.sizes))
 
 
 class _CarriedView(DataView):
@@ -139,14 +144,17 @@ def _probe(view: DataView, k: int) -> _Probe:
     once: from the view's carried share if it has one, else from the view."""
     share = view.take_share() if isinstance(view, _CarriedView) else None
     if share is None:
-        share = _Probe([[view.label_counts()]], [view])
-    counts, leaves, first = share.counts, share.leaves, None
-    del share  # the growth below keeps only the newest level of views
-    for splits, leaves in _grow_levels(leaves, max(k + 1 - len(counts), 0)):
+        share = _Probe([[view.label_counts()]], *_rows(view))
+    counts, cells, sizes, first = share.counts, share.cells, share.sizes, None
+    del share  # the growth below keeps only the newest level's rows
+    dataset = view.dataset
+    for _ in range(k + 1 - len(counts)):
+        pivots, cells, sizes = _level(cells, sizes, dataset)
         if len(counts) == 1:
-            first = splits[0]
-        counts.append([v.label_counts() for v in leaves])
-    return _Probe(counts, leaves, first)
+            first = pivots, cells, sizes
+        ones = _row_ones(cells, sizes, dataset.ys)
+        counts.append(list(zip((sizes - ones).tolist(), ones.tolist())))
+    return _Probe(counts, cells, sizes, first)
 
 
 def _error(counts: list, n: int) -> float:
@@ -200,9 +208,9 @@ def lookahead_decision(config: LookaheadConfig) -> DecisionFn:
         probe = _probe(view, k)
         if _stops(probe, k, n, config.beta):
             return Leaf(*probe.counts[0][0])
-        # a cell large enough to split has every cascade cut on a nonempty
-        # view, so the full split record always exists
-        level = probe.first if probe.first is not None else full_level_split(view)
+        # a cell large enough to split cuts no empty row in its first level,
+        # so the full split record always exists
+        level = _splits(*probe.first, view.dataset)[0] if probe.first else full_level_split(view)
         arity = len(level.children)
         return SplitDecision(
             splits=level.split_records(),

@@ -1,4 +1,4 @@
-"""Pivot-eating median splits and full 2^d-ary levels.
+"""Pivot-eating median splits and full 2^d-ary levels, made by one kernel.
 
 A median split at cell size n picks the r-th smallest point in the strict
 (value, index) order, r = floor((n + 1) / 2), as the pivot. The pivot is
@@ -6,31 +6,108 @@ consumed: it belongs to neither child. Both children are then strictly
 smaller than the parent, which is what guarantees termination no matter how
 degenerate the coordinates are.
 
+Every cut is made by ``_cut_rows`` over the rows of a padded matrix of point
+ids, one row per cell. The randomized builder cuts a generation with one
+call, each row in its own dimension. ``_level`` grows a full level under
+every row with one call per dimension, and ``full_level_split``,
+``build_full_tree``, ``full_tree_leaves`` and the lookahead probe use it.
+``median_split``, a one-row call that no build makes, is the per-cell
+reference. An empty row, a cell that a full level ran out of points for,
+reports pivot -1 and no cut record, and splits into two empty children.
+
 The kernel never sorts a cell. It compares the dataset's presorted ranks
 (``Dataset._rank_table``, int32 below 2^31 points, 4 * d * n bytes), which
-encode the strict order of the whole dataset and therefore of every subset of
-it: a cell's own ranks order its own points exactly as sorting them would.
-The kernel gathers the cell's ranks in the cut dimension and selects the r-th
-smallest rank by value, with a linear ``np.partition`` on the narrow ranks
-rather than an ``argpartition`` that also permutes indices; since ranks are
-distinct, the one gathered entry equal to it locates the pivot. Selecting the
-cell's ascending indices by rank keeps each child ascending without a sort
-(SLIQ/CART-style presorting). The selection uses ``ndarray.compress``: it
-returns the same array as boolean indexing, which is 3.5-4x slower
-(numpy 2.4) on a mask as unpredictable as a median cut's.
+encode the strict order of the whole dataset and therefore of every subset
+of it: a cell's own ranks order its points exactly as sorting them would.
+A linear ``np.partition`` on the narrow ranks selects each row's median rank
+by value; since ranks are distinct, the one entry equal to it locates the
+pivot, and selecting each row's ascending ids by rank keeps each child
+ascending without a sort (SLIQ-style presorting; Mehta, Agrawal & Rissanen
+1996). ``ndarray.compress`` selects them: boolean indexing returns the same
+array and is 3.5-4x slower (numpy 2.4) on a mask as unpredictable as a
+median cut's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import DataView, Leaf, PartitionTree, _CutTable, strict_rank  # noqa: F401
+from .core import Dataset, DataView, Leaf, PartitionTree, _CutTable, _index_dtype, strict_rank  # noqa: F401
+
+
+def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Median-cut every row of ``cells``, row i holding ``kept[i]`` point
+    ids ascending before its filler, in dimension ``cut``: one int for every
+    row, or an array of one per row. Returns the pivots, -1 for an empty
+    row, and the next matrix: each row's low child, then its high child.
+
+    Filler slots get negative ranks, distinct by column, or n, so many of
+    each that every row's median, its r-th smallest rank, r = (kept[i] + 1)
+    // 2, lands in the common column R - 1, R = (W + 1) // 2 for width W (in
+    an empty row, a filler rank). One ``np.partition`` along the rows then
+    selects every median, each row's first slot equal to it holds the pivot,
+    and the R - 1 and W - R slots below and above it are the low and high
+    children, real ids ascending in front of their filler.
+    """
+    rows, width = cells.shape
+    if not width:  # only empty rows
+        return np.full(rows, -1, dtype=cells.dtype), np.empty((2 * rows, 0), dtype=cells.dtype)
+    n, rank = dataset.n, (width + 1) // 2
+    if np.ndim(cut):  # the flat index dim * n + id reaches d * n, beyond int32 before the ids do
+        rk = dataset._rank_table.reshape(-1).take((cut * n).astype(_index_dtype(dataset.d * n))[:, None] + cells)
+    else:
+        rk = dataset._rank_table[cut].take(cells)
+    least = int(kept.min())
+    if least < width:  # row i's filler: rank c - W in column c up to column R + kept[i] // 2, then n
+        cols = np.arange(least, width)
+        np.copyto(rk[:, least:], np.where(cols < (rank + kept // 2)[:, None], cols - width, n),
+                  where=cols >= kept[:, None])
+    med = np.partition(rk, rank - 1, axis=1)[:, rank - 1:rank].copy()  # frees the partitioned copy
+    ids = cells.reshape(-1)
+    pivots = ids.take(np.arange(0, rows * width, width) + (rk == med).argmax(axis=1))
+    if not least:
+        pivots[kept == 0] = -1
+    nxt = np.empty((rows, 2, width - rank), dtype=cells.dtype)
+    nxt[:, 0, :rank - 1] = ids.compress((rk < med).reshape(-1)).reshape(rows, rank - 1)
+    nxt[:, 0, rank - 1:] = 0  # a filler slot where the width is even
+    nxt[:, 1] = ids.compress((rk > med).reshape(-1)).reshape(rows, width - rank)
+    return pivots, nxt.reshape(2 * rows, width - rank)
+
+
+def _row_ones(cells: np.ndarray, sizes: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Each row's count of label 1 over its ``sizes[i]`` real slots."""
+    ones = ys.take(cells)
+    if sizes.min() < cells.shape[1]:
+        ones &= np.arange(cells.shape[1]) < sizes[:, None]
+    return ones.sum(axis=1, dtype=cells.dtype)
+
+
+def _rows(view: DataView) -> tuple[np.ndarray, np.ndarray]:
+    """The view as a one-row id matrix and its size."""
+    return view.indices.astype(_index_dtype(view.dataset.n))[None], np.array([view.n])
+
+
+def _views(cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> list[DataView]:
+    """One view per row, over an owned int64 copy of its real ids."""
+    return [DataView._trusted(dataset, row[:m].astype(np.int64)) for row, m in zip(cells, sizes.tolist())]
+
+
+def _level(cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> tuple[list, np.ndarray, np.ndarray]:
+    """One full level under every row: all rows cut in dimension 0, all
+    their halves in dimension 1, and so on. Returns each dimension's pivots
+    (row i's cuts in dimension j are entries i * 2^j to (i + 1) * 2^j), then
+    the 2^d children of every row in canonical order and their sizes."""
+    pivots = []
+    for dim in range(dataset.d):
+        cut, cells = _cut_rows(cells, sizes, dim, dataset)
+        pivots.append(cut)
+        sizes = (np.maximum(sizes[:, None] - (1, 0), 0) // 2).reshape(-1)
+    return pivots, cells, sizes
 
 
 @dataclass(frozen=True)
@@ -56,18 +133,10 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
     dataset = view.dataset
     if not 0 <= dim < dataset.d:
         raise ValueError(f"dimension {dim} out of range for d={dataset.d}")
-    indices = view.indices
-    rk = dataset._rank_table[dim][indices]
-    r = (n + 1) // 2
-    cut = np.partition(rk, r - 1)[r - 1]
-    pivot = int(indices[(rk == cut).argmax()])  # ranks are distinct: one entry is cut
-    return MedianSplit(
-        dim=dim,
-        pivot_index=pivot,
-        threshold=float(dataset.xs[pivot, dim]),
-        low=DataView._trusted(dataset, indices.compress(rk < cut)),
-        high=DataView._trusted(dataset, indices.compress(rk > cut)),
-    )
+    pivots, children = _cut_rows(view.indices[None], np.array([n]), dim, dataset)
+    pivot = int(pivots[0])
+    low, high = _views(children, np.array([(n - 1) // 2, n // 2]), dataset)
+    return MedianSplit(dim, pivot, float(dataset.xs[pivot, dim]), low, high)
 
 
 @dataclass(frozen=True)
@@ -76,9 +145,9 @@ class LevelSplit:
 
     ``cuts`` has 2^d - 1 (dim, threshold) entries in heap order (dimension 0
     cut first, then the two dimension 1 cuts of its halves, and so on). An
-    entry is None where the cascade hit an empty view: the empty view splits
-    structurally into two empty children and no pivot is consumed. ``eaten``
-    lists the consumed pivots in cascade order.
+    entry is None where the level cut an empty cell: it splits structurally
+    into two empty children and no pivot is consumed. ``eaten`` lists the
+    consumed pivots in the same order.
     """
 
     children: tuple[DataView, ...]
@@ -92,56 +161,28 @@ class LevelSplit:
         return self.cuts  # type: ignore[return-value]
 
 
+def _splits(pivots: list, cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> tuple[LevelSplit, ...]:
+    """The LevelSplit of every row, from what ``_level`` returned for them."""
+    xs, arity = dataset.xs, 1 << dataset.d
+    children = _views(cells, sizes, dataset)
+    splits = []
+    for i in range(pivots[0].size):
+        block = [(dim, p) for dim, cut in enumerate(pivots) for p in cut[i << dim:(i + 1) << dim].tolist()]
+        cuts = tuple((dim, float(xs[p, dim])) if p >= 0 else None for dim, p in block)
+        splits.append(LevelSplit(tuple(children[i * arity:(i + 1) * arity]), cuts,
+                                 tuple(p for _, p in block if p >= 0)))
+    return tuple(splits)
+
+
 def full_level_split(view: DataView) -> LevelSplit:
-    """Median-cut the view once in every dimension, in dimension order.
-
-    Keeps each cut's record, not its halves, so the intermediate views are
-    freed as the cascade moves on to the next dimension.
-    """
-    frontier = [view]
-    cuts: list[tuple[int, float] | None] = []
-    eaten: list[int] = []
-    for dim in range(view.dataset.d):
-        nxt: list[DataView] = []
-        for v in frontier:
-            if v.n == 0:
-                cuts.append(None)
-                nxt.extend((v, v))
-            else:
-                cut = median_split(v, dim)
-                cuts.append((cut.dim, cut.threshold))
-                eaten.append(cut.pivot_index)
-                nxt.extend((cut.low, cut.high))
-        frontier = nxt
-    return LevelSplit(children=tuple(frontier), cuts=tuple(cuts), eaten=tuple(eaten))
-
-
-def _grow_levels(
-    views: list[DataView], k: int
-) -> Iterator[tuple[tuple[LevelSplit, ...], list[DataView]]]:
-    """Yield (splits, children) for each of k stacked full levels grown under
-    ``views``, in canonical order. The parents are dropped before each yield,
-    so a caller that keeps only the newest children holds one level of views
-    at a time.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    for _ in range(k):
-        splits = tuple(full_level_split(v) for v in views)
-        views = [c for level in splits for c in level.children]
-        yield splits, views
+    """Median-cut the view once in every dimension, in dimension order."""
+    return _splits(*_level(*_rows(view), view.dataset), view.dataset)[0]
 
 
 def full_tree_leaves(view: DataView, k: int) -> tuple[list[DataView], int]:
-    """Leaf views of k stacked full levels, in canonical order, plus eaten count.
-
-    Light-weight variant of build_full_tree for callers that only need the
-    2^{dk} leaf populations.
-    """
-    leaves, eaten = [view], 0
-    for splits, leaves in _grow_levels([view], k):
-        eaten += sum(len(level.eaten) for level in splits)
-    return leaves, eaten
+    """Leaf views of k stacked full levels, in canonical order, plus eaten count."""
+    tree = build_full_tree(view, k)
+    return list(tree.leaves), len(tree.eaten)
 
 
 @dataclass(frozen=True)
@@ -170,19 +211,21 @@ class FullTree:
 
 
 def build_full_tree(view: DataView, k: int) -> FullTree:
-    levels, leaves = [], [view]
-    for splits, leaves in _grow_levels([view], k):
-        levels.append(splits)
+    """k full levels under the view, each one ``_level`` call over the
+    previous level's rows."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    dataset, levels = view.dataset, []
+    cells, sizes = _rows(view)
+    for _ in range(k):
+        pivots, cells, sizes = _level(cells, sizes, dataset)
+        levels.append(_splits(pivots, cells, sizes, dataset))
+    leaves = [child for level in levels[-1] for child in level.children] if k else [view]
     cells = [level for splits in levels for level in splits]
-    return FullTree(
-        k=k,
-        d=view.dataset.d,
-        leaves=tuple(leaves),
-        leaf_counts=tuple(v.label_counts() for v in leaves),
-        eaten=tuple(p for level in cells for p in level.eaten),
-        levels=tuple(levels),
-        complete=all(None not in level.cuts for level in cells),
-    )
+    return FullTree(k=k, d=dataset.d, leaves=tuple(leaves),
+                    leaf_counts=tuple(v.label_counts() for v in leaves),
+                    eaten=tuple(p for level in cells for p in level.eaten), levels=tuple(levels),
+                    complete=all(None not in level.cuts for level in cells))
 
 
 def _partition_tree(tree: FullTree) -> PartitionTree:

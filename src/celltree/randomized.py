@@ -11,10 +11,11 @@ the whole tree from the root a generation at a time instead
 (``_segmented_generations``): the cells of a generation are independent, so
 they are decided as one batch, with the same draws, the same records and the
 same trace as cell by cell. A generation's cells are the rows of one padded
-integer matrix of point ids, and one ``np.partition`` along its rows selects
-every cell's median from the presorted ranks; no cell is sorted, and the
-matrix holds about n + cells ids. ``randomized_decision`` and
-``median_split`` remain the per-cell reference, which the tests and
+integer matrix of point ids, which the one median kernel,
+``median._cut_rows``, cuts with one call, each row in its own dimension; no
+cell is sorted, and the matrix holds about n + cells ids.
+``randomized_decision`` and ``median_split``, a one-row call of the same
+kernel, remain the per-cell reference, which the tests and
 ``audit_autonomy``'s replays run.
 """
 from __future__ import annotations
@@ -24,16 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    Leaf,
-    PartitionTree,
-    _Generation,
-    _index_dtype,
-    classify,
-    majority_label,
-)
-from .median import median_split
+from .core import Dataset, Leaf, PartitionTree, _Generation, _index_dtype, classify, majority_label
+from .median import _cut_rows, _row_ones, median_split
 from .runtime import (
     _GOLDEN,
     _MASK64,
@@ -212,12 +205,7 @@ def _segmented_generations(
         stop = u <= phis[sizes - least]
         split = ~stop
         stopped, kept, cut = sizes[stop], sizes[split], dims[split]
-        ones = stopped  # empty unless a row stops
-        if stopped.size:  # label 1 summed over each stopping row's real slots
-            labels = ys.take(cells.compress(stop, axis=0))
-            if stopped.min() < cells.shape[1]:
-                labels &= np.arange(cells.shape[1]) < stopped[:, None]
-            ones = labels.sum(axis=1, dtype=cells.dtype)
+        ones = _row_ones(cells.compress(stop, axis=0), stopped, ys) if stopped.size else stopped
         pivots = np.empty(0, dtype=cells.dtype)
         if kept.size:
             if stopped.size:  # the widest splitting cell sets the width
@@ -236,43 +224,6 @@ def _segmented_generations(
         # each split's low child, then its high child
         sizes = ((kept[:, None] - (1, 0)) // 2).ravel()
         seeds = _splitmix64s(words[split, :1] ^ _CHILD_SALTS).ravel()
-
-
-def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut: np.ndarray,
-              dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Median-cut every row of ``cells``, row i holding ``kept[i]`` point
-    ids ascending before its filler, in dimension ``cut[i]``; the widest row
-    has no filler. Returns the pivots and the next matrix: each row's low
-    child, then its high child.
-
-    The rows' ranks are gathered from the rank table, and filler slots get
-    rank -1 or n by position, so many of each that every row's median, its
-    r-th smallest rank, r = (kept[i] + 1) // 2, lands in the common column
-    R - 1, R = (W + 1) // 2 for width W. One ``np.partition`` along the
-    rows then selects every median. Since ranks are distinct, comparing
-    each row with its median gives the pivots, and R - 1 and W - R slots per
-    row below and above it: the low and high children, real ids ascending
-    in front of their filler. ``compress`` takes all three; boolean indexing
-    returns the same and is 3-4x slower (numpy 2.4).
-    """
-    n, width = dataset.n, cells.shape[1]
-    rank = (width + 1) // 2
-    # the flat index dim * n + id reaches d * n, beyond int32 before the ids do
-    at = (cut * n).astype(_index_dtype(dataset.d * n))[:, None] + cells
-    rk = dataset._rank_table.reshape(-1).take(at)  # a view of the table, not a copy
-    del at
-    least = int(kept.min())
-    if least < width:  # row i's filler: rank -1 up to column rank + kept[i] // 2, then n
-        cols = np.arange(least, width)
-        np.copyto(rk[:, least:], np.where(cols < (rank + kept // 2)[:, None], -1, n),
-                  where=cols >= kept[:, None])
-    med = np.partition(rk, rank - 1, axis=1)[:, rank - 1:rank].copy()  # frees the partitioned copy
-    ids = cells.reshape(-1)
-    nxt = np.empty((kept.size, 2, width - rank), dtype=cells.dtype)
-    nxt[:, 0, :rank - 1] = ids.compress((rk < med).reshape(-1)).reshape(-1, rank - 1)
-    nxt[:, 0, rank - 1:] = 0  # a filler slot where the width is even
-    nxt[:, 1] = ids.compress((rk > med).reshape(-1)).reshape(-1, width - rank)
-    return ids.compress((rk == med).reshape(-1)), nxt.reshape(-1, width - rank)
 
 
 def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, seeds: list,

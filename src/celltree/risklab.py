@@ -31,6 +31,14 @@ from .randomized import RandomizedConfig, build_randomized
 from .runtime import derive_child_seed
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """``default_rng(seed)``. ``PCG64`` takes only a seed >= 0; another is
+    refused here with a message that names it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class SyntheticDistribution:
     name: str
@@ -39,12 +47,11 @@ class SyntheticDistribution:
     eta: Callable[[np.ndarray], np.ndarray]
 
     def sample_x(self, m: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return rng.random((m, self.d))
+        return _generator(seed).random((m, self.d))
 
     def sample(self, n: int, seed: int) -> Dataset:
         """n labeled points: X uniform on the cube, Y ~ Bernoulli(eta(X))."""
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
         X = rng.random((n, self.d))
         Y = (rng.random(n) < self.eta(X)).astype(np.int8)
         return Dataset(X, Y)
@@ -133,10 +140,7 @@ def empirical_risk(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    x_rng = np.random.Generator(np.random.PCG64(seed))
-    y_rng = np.random.Generator(np.random.PCG64(seed))
+    x_rng, y_rng = _generator(seed), _generator(seed)
     y_rng.bit_generator.advance(m * dist.d)
     errors = 0
     for start in range(0, m, _RISK_CHUNK_ROWS):

@@ -189,6 +189,33 @@ def test_eval_dimension_mismatch_exit_2(tmp_path, train_csv, capsys):
     code, _, stderr = run(capsys, "eval", "--tree", out, "--dist", "d-lin", "--dim", "3")
     assert code == 2
     assert "d=" in stderr
+    # a CSV of another d
+    wide = tmp_path / "wide.csv"
+    save_csv(get_distribution("d-lin", d=3).sample(50, seed=1), wide)
+    code, stdout, stderr = run(capsys, "eval", "--tree", out, "--data", wide)
+    assert code == 2 and stdout == ""
+    assert_one_line_error(stderr)
+    assert "tree has d=2, data has d=3" in stderr
+
+
+@pytest.mark.parametrize("case, message", [
+    ("oracle", "--oracle needs --dist"),
+    ("no-tree", "eval needs --tree"),
+    ("header-only", "evaluation dataset is empty"),
+])
+def test_eval_refuses_flags_and_data_it_cannot_use_exit_2(tmp_path, train_csv, capsys, case, message):
+    tree, header = tmp_path / "tree.json", tmp_path / "header.csv"
+    run(capsys, "train", "--algo", "randomized", "--data", train_csv, "--out", tree)
+    header.write_text("x1,x2,y\n")
+    argv = {
+        "oracle": ("--oracle", "--data", train_csv),
+        "no-tree": ("--data", train_csv),
+        "header-only": ("--tree", tree, "--data", header),
+    }[case]
+    code, stdout, stderr = run(capsys, "eval", *argv)
+    assert code == 2 and stdout == ""
+    assert_one_line_error(stderr)
+    assert message in stderr
 
 
 def test_inspect_corrupt_document_exit_4(tmp_path, capsys):
@@ -302,6 +329,12 @@ def test_bench_rejects_bad_reps_and_grid(tmp_path, capsys):
     code, _, stderr = run(capsys, *base, "--n-grid", "50;100", "--reps", "2")
     assert code == 2
     assert "n-grid" in stderr
+    for flags, message in (("--m 0 --n-grid 50", "--m must be >= 1"),
+                           ("--n-grid=-5", "--n-grid needs nonnegative integers")):
+        code, stdout, stderr = run(capsys, *base, *flags.split())
+        assert code == 2 and stdout == ""
+        assert_one_line_error(stderr)
+        assert message in stderr
 
 
 def test_argparse_usage_errors_exit_2(capsys):

@@ -118,6 +118,22 @@ def test_lookahead_error_bounds_fuzz(data):
     assert 0.0 <= lk <= 0.5
     assert lk <= base + (1 << (d * k)) / n + 1e-12
     assert lk2 <= lk + (1 << (d * k2)) / n + 1e-12
+    # bit for bit the naive reference's, also where a level runs out of points
+    xs, ys = ds.xs.tolist(), ds.ys.tolist()
+    assert (lk, lk2) == tuple(naive.look_error(xs, ys, d, list(range(n)), h) for h in (k, k2))
+
+
+def test_lookahead_error_matches_naive_where_levels_run_out():
+    # cells of a few points under deep probes: levels cut empty cells, which
+    # split into two empty cells and count no points
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        for n in range(12):
+            ds = make_dataset(rng, n, d)
+            xs, ys = ds.xs.tolist(), ds.ys.tolist()
+            for k in range(4):
+                want = naive.look_error(xs, ys, d, list(range(n)), k)
+                assert lookahead_error(ds.full_view(), k) == want, (d, n, k)
 
 
 def test_pivot_loss_makes_offspring_error_exceed_cell_error():
@@ -368,14 +384,14 @@ def test_each_probe_level_is_grown_once(monkeypatch):
     d, *_ = case = CARRIED_CASES[2]
     data, cfg = _checker_case(*case)
     calls = []
-    grow = median.full_level_split
+    grow = median._level
 
-    def counted(view):
-        calls.append(view.n)
-        return grow(view)
+    def counted(cells, sizes, dataset):
+        calls.append(len(sizes))  # one level grown under each row
+        return grow(cells, sizes, dataset)
 
-    monkeypatch.setattr(median, "full_level_split", counted)
-    monkeypatch.setattr(lookahead, "full_level_split", counted)
+    monkeypatch.setattr(median, "_level", counted)
+    monkeypatch.setattr(lookahead, "_level", counted)
     trace = BuildTrace()
     build_lookahead(data, cfg, trace=trace)
     # a cell's probe starts at its share's depth (the root's at 0) and goes
@@ -390,7 +406,7 @@ def test_each_probe_level_is_grown_once(monkeypatch):
         if splits and shared >= 1:
             want += 1
         scratch += sum(1 << (d * i) for i in range(k)) + splits
-    assert len(calls) == want < scratch
+    assert sum(calls) == want < scratch
 
 
 def test_carried_share_is_freed_once_the_child_decides():
@@ -402,9 +418,10 @@ def test_carried_share_is_freed_once_the_child_decides():
         decision = decide(view, seed)
         assert getattr(view, "_share", None) is None  # the decision took it
         for child in getattr(decision, "children", ()):
-            # one extra set of indices per live cell: the share's views are
+            # one extra set of indices per live cell: the share's rows are
             # disjoint subsets of the child's own points
-            held = [v.indices for v in child._share.leaves]
+            share = child._share
+            held = [row[:m] for row, m in zip(share.cells, share.sizes)]
             assert sum(map(len, held)) <= child.n
             assert np.isin(np.concatenate(held), child.indices).all()
             carried.append(child)

@@ -120,7 +120,7 @@ def test_median_split_children_match_the_mask_reference(d, n, grid, carried, see
     ds = Dataset(xs, (rng.random(n + 5) < 0.5).astype(np.int8))
     view = DataView(ds, np.sort(rng.choice(n + 5, size=n, replace=False)))
     if carried:
-        view = _CarriedView.carry(view, _Probe([[view.label_counts()]], [view]))
+        view = _CarriedView.carry(view, _Probe([[view.label_counts()]], view.indices[None], np.array([n])))
     indices = view.indices
     for dim in range(d):
         rk = ds.ranks[dim][indices]
@@ -320,3 +320,47 @@ def test_median_split_matches_the_index_select_reference(d, n, grid, seed):
         assert cut.threshold == ds.xs[indices[at], dim]
         assert np.array_equal(cut.low.indices, indices[rk < rk[at]])
         assert np.array_equal(cut.high.indices, indices[rk > rk[at]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([0, 2]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_full_tree_levels_match_a_cascade_of_single_cuts(d, n, grid, seed, data):
+    # each level cuts all its rows at once, empty rows among them; every
+    # cell must come out as median_split cuts it on its own
+    k = data.draw(st.integers(min_value=0, max_value=6 // d))
+    rng = np.random.default_rng(seed)
+    xs = rng.random((n, d))
+    if grid:
+        xs = np.floor(xs * grid) / grid
+    ds = Dataset(xs, (rng.random(n) < 0.5).astype(np.int8))
+    tree = build_full_tree(ds.full_view(), k)
+    frontier = [ds.full_view()]
+    for splits in tree.levels:
+        assert len(splits) == len(frontier)
+        grown = []
+        for view, split in zip(frontier, splits):
+            cells, cuts, eaten = [view], [], []
+            for dim in range(d):
+                halves = []
+                for v in cells:
+                    if v.n == 0:
+                        cuts.append(None)
+                        halves += [v, v]
+                        continue
+                    cut = median_split(v, dim)
+                    cuts.append((dim, cut.threshold))
+                    eaten.append(cut.pivot_index)
+                    halves += [cut.low, cut.high]
+                cells = halves
+            assert split.cuts == tuple(cuts) and split.eaten == tuple(eaten)
+            assert [c.indices.tolist() for c in split.children] == [c.indices.tolist() for c in cells]
+            grown += cells
+        frontier = grown
+    assert [v.indices.tolist() for v in tree.leaves] == [v.indices.tolist() for v in frontier]
+    assert tree.leaf_counts == tuple(v.label_counts() for v in frontier)

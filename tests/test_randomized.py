@@ -14,10 +14,12 @@ from celltree import (
     DataView,
     Internal,
     Leaf,
+    LookaheadConfig,
     PartitionTree,
     RandomizedConfig,
     audit_autonomy,
     build_ensemble,
+    build_lookahead,
     build_randomized,
     choose_dimension,
     classify,
@@ -459,35 +461,43 @@ def test_kernel_decides_a_frontier_of_uneven_cells_as_the_per_cell_path():
 
 
 def test_wide_gather_indices_give_the_same_build(monkeypatch):
-    # from d * n >= 2^31 on, ids and gather indices are int64; force that here
-    from celltree import randomized
+    # from d * n >= 2^31 on, ids and gather indices are int64; force that
+    # here, in the builder's id matrix and in the kernel's flat gather index
+    from celltree import median, randomized
 
     data = _differential_data(3_000, 3, True, 5)
     config = RandomizedConfig(beta=0.99, seed=2**63)
     narrow, wide = BuildTrace(), BuildTrace()
     doc = serialize_tree(build_randomized(data, config, trace=narrow))
     monkeypatch.setattr(randomized, "_index_dtype", lambda n: np.int64)
+    monkeypatch.setattr(median, "_index_dtype", lambda n: np.int64)
     assert serialize_tree(build_randomized(data, config, trace=wide)) == doc
     assert wide.lines() == narrow.lines()
 
 
-def test_a_build_neither_sorts_nor_splits_cell_by_cell(monkeypatch):
-    from celltree import randomized
+@pytest.mark.parametrize("algo", ("randomized", "lookahead"))
+def test_a_build_neither_sorts_nor_splits_cell_by_cell(monkeypatch, algo):
+    from celltree import median, randomized
 
     data = _differential_data(3_000, 2, True, 3)
+    if algo == "randomized":
+        config, build, internals, records = RandomizedConfig(beta=0.99, seed=11), build_randomized, 100, 200
+    else:  # a 4 x 4 checker on the grid: the root's children split again
+        data = Dataset(data.xs, (np.floor(4 * data.xs).sum(axis=1) % 2).astype(np.int8))
+        config, build, internals, records = LookaheadConfig(0.25, 0.2, 2, seed=11), build_lookahead, 4, 20
     data._rank_table  # the presort is the one argsort a build may need
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a randomized build sorted or split a single cell")
+        raise AssertionError(f"a {algo} build sorted or split a single cell")
 
     monkeypatch.setattr(np, "sort", refuse)
     monkeypatch.setattr(np, "argsort", refuse)
     monkeypatch.setattr(randomized, "median_split", refuse)
-    config = RandomizedConfig(beta=0.99, seed=11)
+    monkeypatch.setattr(median, "median_split", refuse)
     trace = BuildTrace()
-    tree = build_randomized(data, config, trace=trace)
-    assert tree_stats(build_randomized(data, config)).internals == tree_stats(tree).internals > 100
-    assert len(trace.records) > 200
+    tree = build(data, config, trace=trace)
+    assert tree_stats(build(data, config)).internals == tree_stats(tree).internals > internals
+    assert len(trace.records) > records
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ def test_empirical_risk_refuses_a_negative_seed(seed):
         empirical_risk(constant_predictor(0), dist, m=10, seed=seed)
 
 
+@pytest.mark.parametrize("seed", (-1, -(2**63)))
+def test_sampling_refuses_a_negative_seed(seed):
+    dist = get_distribution("d-lin", d=1)
+    tree = build_randomized(dist.sample(50, 0), RandomizedConfig(beta=0.5))
+    for draw in (lambda: dist.sample(10, seed), lambda: dist.sample_x(10, seed),
+                 lambda: depth_profile(tree, dist, 10, seed)):
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            draw()
+
+
 def test_bayes_rule_achieves_its_advertised_risk():
     dist = get_distribution("d-lin", d=2)
     est = empirical_risk(bayes_predictor(dist), dist, m=200_000, seed=9)

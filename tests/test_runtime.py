@@ -139,7 +139,7 @@ def test_work_conservation_tasks_equal_nodes(rng):
     assert len(trace.records) == tree_stats(tree).nodes
 
 
-def test_trace_lines_format(rng):
+def test_trace_lines_format(rng, tmp_path):
     data = make_dataset(rng, 40, 1)
     trace = BuildTrace()
     build_randomized(data, RandomizedConfig(beta=0.3, seed=12), trace=trace)
@@ -150,6 +150,9 @@ def test_trace_lines_format(rng):
         assert decision.startswith(("leaf:", "split:"))
         assert len(seed_fp) == 16
         int(n)
+    # the written trace is its lines, each ended by a newline
+    trace.write(tmp_path / "trace.tsv")
+    assert (tmp_path / "trace.tsv").read_bytes() == "".join(f"{line}\n" for line in lines).encode()
 
 
 def test_worker_error_carries_cell_size(rng):
@@ -295,6 +298,24 @@ def test_audit_detects_stop_rule_reading_global_size(rng):
     run_cells(CellTask(view=data.full_view(), seed=6), cheating, trace=trace)
     report = audit_autonomy(trace, data, cheating, sample=len(trace.records), seed=0)
     assert not report.ok
+
+
+def test_audit_reports_a_replay_that_raises(rng):
+    data = make_dataset(rng, 300, 1)
+    decide = randomized_decision(0.99)
+
+    def fragile(view, seed):  # works on the training data, raises on a detached copy
+        if view.dataset is not data:
+            raise RuntimeError("detached")
+        return decide(view, seed)
+
+    trace = BuildTrace()
+    build_randomized(data, RandomizedConfig(beta=0.99, seed=5), trace=trace)
+    assert len(trace.records) > 4
+    report = audit_autonomy(trace, data, fragile, sample=4, seed=0)
+    assert not report.ok and report.checked == 4
+    assert len(report.failures) == 4
+    assert all(": replay raised RuntimeError('detached')" in f for f in report.failures)
 
 
 def test_audit_passes_both_builders(rng):
