@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -56,6 +57,17 @@ class LabeledPoint:
             raise ValueError("coordinates must be finite")
         if self.y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.y!r}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as the Python int that a seed, a count or a dimension must
+    be: a numpy integer becomes one; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _index_dtype(n: int) -> type:
@@ -256,6 +268,7 @@ def strict_rank(view: DataView, dim: int) -> np.ndarray:
     duplicate coordinates. Relies on the view's ascending-index invariant:
     a stable sort on the coordinate alone realizes the tie-break.
     """
+    dim = _integer(dim, "dimension")
     if not 0 <= dim < view.dataset.d:
         raise ValueError(f"dimension {dim} out of range for d={view.dataset.d}")
     order = np.argsort(view.coords(dim), kind="stable")

@@ -7,16 +7,15 @@ the improvement does not beat (n + 1)^(-beta), splitting is not worth it and
 the cell stops. Both quantities come from the cell's own points, so the rule
 is deterministic and cellular.
 
-Each probe level is grown once, by the one median kernel: the deepest level
-is an id matrix, one row per cell in canonical order, and ``median._level``
-grows a full level under every row at once. A cell that splits commits one
-full 2^d-ary level, the first level of its own probe when it grew that
-level, and hands each child its share of the probe: the label counts of
-every deeper level in the child's block of canonical cells, and its block of
-the deepest rows. The share is the child's own probe, which the child would
-have grown from its own points, so a child grows at most the levels below
-it. A view that carries no share (the root, a detached copy, a direct call)
-grows its probe from scratch.
+A build decides the tree from the root a generation at a time
+(``_generations``), as ``build_randomized`` does: the cells of a generation
+are independent, so their probes grow together. The probe is kept per level,
+cell after cell, and one ``median._level`` call grows a level under every
+row. The children of a cell that splits keep their blocks of every deeper
+level, which is the probe they would have grown from their own points, so
+no level is grown twice. ``lookahead_decision`` decides one cell from a
+probe grown from scratch and commits ``full_level_split``: it is the
+per-cell reference that the tests and ``audit_autonomy``'s replays run.
 
 Float determinism note: the error formulas below fix the evaluation order
 (single division per term, leaf terms accumulated left to right in canonical
@@ -31,15 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DataView, Leaf, PartitionTree
-from .median import _level, _row_ones, _rows, _splits, full_level_split
+from .core import Dataset, DataView, Leaf, PartitionTree, _Generation, _integer
+from .median import _level, _row_ones, _rows, full_level_split
 from .runtime import (
     BuildTrace,
-    CellTask,
     DecisionFn,
     SplitDecision,
-    _integer,
-    run_cells,
+    _trace_generation,
+    derive_child_seed,
+    # run_cells stays importable here, where perfbench/layers.py rebinds it
+    run_cells,  # noqa: F401
 )
 
 
@@ -91,70 +91,25 @@ def k_plus(n: int, alpha: float) -> int:
     """Lookahead horizon floor(alpha * log2(n + 1)) for a cell of n points."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return int(math.floor(alpha * math.log2(n + 1)))
 
 
-@dataclass(slots=True)
-class _Probe:
-    """A cell's scratch partition, some levels deep.
-
-    ``counts[i]`` holds the (count0, count1) of the 2^{di} cells of level i
-    in canonical order (level 0 is the cell itself). ``cells`` and ``sizes``
-    are the deepest level's rows, as ``median._level`` grows them: an id
-    matrix and each row's number of real ids. ``first`` is what ``_level``
-    returned for the cell's own first level, when this probe grew it.
-    """
-
-    counts: list
-    cells: np.ndarray
-    sizes: np.ndarray
-    first: tuple | None = None
-
-    def share(self, j: int, arity: int) -> "_Probe":
-        """Child j's block of every deeper level and of the rows: the child's own probe."""
-
-        def block(level):
-            return level[j * (len(level) // arity):(j + 1) * (len(level) // arity)]
-
-        return _Probe([block(level) for level in self.counts[1:]], block(self.cells), block(self.sizes))
+def _counts(sizes: np.ndarray, ones: np.ndarray) -> list:
+    """A level's (count0, count1) per cell, from its sizes and label-1 counts."""
+    return list(zip((sizes - ones).tolist(), ones.tolist()))
 
 
-class _CarriedView(DataView):
-    """A child's view carrying its share of the parent's probe. The view's
-    first probe takes the share, so it is freed once the cell has decided."""
-
-    __slots__ = ("_share",)
-
-    @classmethod
-    def carry(cls, view: DataView, share: _Probe) -> "_CarriedView":
-        carried = cls._trusted(view.dataset, view.indices)
-        object.__setattr__(carried, "_share", share)
-        return carried
-
-    def take_share(self) -> _Probe | None:
-        share = self._share
-        object.__setattr__(self, "_share", None)
-        return share
-
-
-def _probe(view: DataView, k: int) -> _Probe:
-    """The view's scratch partition, at least k levels deep, each level grown
-    once: from the view's carried share if it has one, else from the view."""
-    share = view.take_share() if isinstance(view, _CarriedView) else None
-    if share is None:
-        share = _Probe([[view.label_counts()]], *_rows(view))
-    counts, cells, sizes, first = share.counts, share.cells, share.sizes, None
-    del share  # the growth below keeps only the newest level's rows
-    dataset = view.dataset
-    for _ in range(k + 1 - len(counts)):
-        pivots, cells, sizes = _level(cells, sizes, dataset)
-        if len(counts) == 1:
-            first = pivots, cells, sizes
-        ones = _row_ones(cells, sizes, dataset.ys)
-        counts.append(list(zip((sizes - ones).tolist(), ones.tolist())))
-    return _Probe(counts, cells, sizes, first)
+def _probe(view: DataView, k: int) -> list:
+    """The (count0, count1) of level i's 2^{di} cells in canonical order, for
+    i up to k, each level grown from scratch; level 0 is the view itself."""
+    cells, sizes = _rows(view)
+    counts = [[view.label_counts()]]
+    for _ in range(k):
+        _, cells, sizes = _level(cells, sizes, view.dataset)
+        counts.append(_counts(sizes, _row_ones(cells, sizes, view.dataset.ys)))
+    return counts
 
 
 def _error(counts: list, n: int) -> float:
@@ -168,8 +123,9 @@ def _error(counts: list, n: int) -> float:
     return total
 
 
-def _stops(probe: _Probe, k: int, n: int, beta: float) -> bool:
-    gap = abs(_error(probe.counts[0], n) - _error(probe.counts[k], n))
+def _stops(cell: list, deep: list, n: int, beta: float) -> bool:
+    """The stop rule on a cell's own counts and its counts k levels down."""
+    gap = abs(_error(cell, n) - _error(deep, n))
     return gap <= (n + 1.0) ** (-beta)
 
 
@@ -180,11 +136,11 @@ def lookahead_error(view: DataView, k: int) -> float:
     pivots make the weights sum to less than one. k = 0 is the cell's own
     empirical error by construction.
     """
-    if k < 0:
+    if _integer(k, "k") < 0:
         raise ValueError("k must be >= 0")
     if view.n == 0:
         return 0.0
-    return _error(_probe(view, k).counts[k], view.n)
+    return _error(_probe(view, k)[k], view.n)
 
 
 def decide_stop_lookahead(view: DataView, config: LookaheadConfig) -> bool:
@@ -193,35 +149,72 @@ def decide_stop_lookahead(view: DataView, config: LookaheadConfig) -> bool:
     Cells too small for a nonzero horizon have zero gain and always stop;
     in particular empty and singleton cells never split.
     """
-    n = view.n
-    k = k_plus(n, config.alpha)
-    return _stops(_probe(view, k), k, n, config.beta)
+    k = k_plus(view.n, config.alpha)
+    counts = _probe(view, k)
+    return _stops(counts[0], counts[k], view.n, config.beta)
 
 
 def lookahead_decision(config: LookaheadConfig) -> DecisionFn:
-    """Cell decision closure: stop check, else commit one full level and
-    carry each child's share of the probe on the child's view."""
+    """The per-cell reference: a from-scratch probe, then one full level."""
 
     def decide(view, seed: int):
-        n = view.n
-        k = k_plus(n, config.alpha)
-        probe = _probe(view, k)
-        if _stops(probe, k, n, config.beta):
-            return Leaf(*probe.counts[0][0])
-        # a cell large enough to split cuts no empty row in its first level,
-        # so the full split record always exists
-        level = _splits(*probe.first, view.dataset)[0] if probe.first else full_level_split(view)
-        arity = len(level.children)
-        return SplitDecision(
-            splits=level.split_records(),
-            eaten=level.eaten,
-            children=tuple(
-                _CarriedView.carry(child, probe.share(j, arity))
-                for j, child in enumerate(level.children)
-            ),
-        )
+        if decide_stop_lookahead(view, config):
+            return Leaf(*view.label_counts())
+        level = full_level_split(view)
+        return SplitDecision(level.split_records(), level.eaten, level.children)
 
     return decide
+
+
+def _blocks(column, split: np.ndarray):
+    """``column``'s entries (or rows) in the equal blocks of the cells that split."""
+    if column is None or split.all():
+        return column
+    return column.compress(np.repeat(split, column.shape[0] // split.size), axis=0)
+
+
+def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | None) -> list[_Generation]:
+    """Decide the tree from the root a generation at a time, and return its
+    records as ``core._Generation`` columns, one per generation.
+
+    A probe level holds its cells' sizes and label-1 counts, the pivots of
+    each cell of the level above, in heap order, and its rows: the deepest
+    level's, or every level's with ``trace``. A cell stops by ``_stops`` on
+    its own two blocks, read in canonical order, so every record and
+    ``TraceRecord`` is the one ``run_cells`` gives with ``lookahead_decision``.
+    """
+    d, ys, arity = data.d, data.ys, 1 << data.d
+    rows, sizes = _rows(data.full_view())  # the root view's indices are freed here
+    levels = [[sizes, _row_ones(rows, sizes, ys), None, rows]]
+    heap_dims = np.repeat(np.arange(d), [1 << j for j in range(d)])  # a full level's cut dimensions
+    seeds, ids, parents = [config.seed], ["r"], [""]  # the root's, for the trace
+    generations: list[_Generation] = []
+    while True:
+        ns = levels[0][0].tolist()
+        ks = [k_plus(n, config.alpha) for n in ns]
+        while len(levels) <= max(ks):
+            top = levels[-1]
+            pivots, rows, sizes = _level(top[3], top[0], data)
+            if trace is None:
+                top[3] = None
+            cuts = np.concatenate([p.reshape(top[0].size, -1) for p in pivots], axis=1)
+            levels.append([sizes, _row_ones(rows, sizes, ys), cuts, rows])
+        counts = {k: _counts(*levels[k][:2]) for k in {0, *ks}}
+        split = np.array([not _stops(counts[0][i:i + 1], counts[k][i << d * k:(i + 1) << d * k], n,
+                                     config.beta) for i, (n, k) in enumerate(zip(ns, ks))], dtype=bool)
+        sizes, ones, _, rows = levels.pop(0)
+        levels = [[_blocks(column, split) for column in level] for level in levels]
+        eaten = levels[0][2].ravel() if levels else sizes[:0]  # a split cell has a horizon
+        dims = np.tile(heap_dims, int(split.sum()))
+        gen = _Generation(split, (sizes - ones)[~split], ones[~split], dims, data.xs[eaten, dims], eaten, arity)
+        generations.append(gen)
+        if trace is not None:
+            children = levels[0][0] if levels else sizes[:0]
+            ids, parents = _trace_generation(trace, gen, rows, sizes, children, seeds, ids, parents, data)
+            seeds = [derive_child_seed(seed, j) for seed, s in zip(seeds, split.tolist()) if s
+                     for j in range(arity)]
+        if not split.any():
+            return generations
 
 
 def build_lookahead(
@@ -230,19 +223,16 @@ def build_lookahead(
     workers: int = 1,
     trace: BuildTrace | None = None,
 ) -> PartitionTree:
+    """Decide the tree from the root in ``_generations``. ``workers`` is
+    checked as ``run_cells`` checks it, and changes nothing."""
     if config.d != data.d:
         raise ValueError(f"config is for d={config.d}, data has d={data.d}")
-    root = CellTask(view=data.full_view(), seed=config.seed)
-    generations = run_cells(root, lookahead_decision(config), workers=workers, trace=trace, _records=True)
-    return PartitionTree._of_generations(
-        generations,
-        data.d,
-        "full",
-        {
-            "algo": "lookahead",
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "seed": config.seed,
-            "n": data.n,
-        },
-    )
+    if _integer(workers, "workers") < 1:
+        raise ValueError("workers must be >= 1")
+    return PartitionTree._of_generations(_generations(data, config, trace), data.d, "full", {
+        "algo": "lookahead",
+        "alpha": config.alpha,
+        "beta": config.beta,
+        "seed": config.seed,
+        "n": data.n,
+    })

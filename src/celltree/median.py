@@ -35,9 +35,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import Dataset, DataView, Leaf, PartitionTree, _CutTable, _index_dtype, _integer
 # strict_rank is the public statement of the order the kernel's ranks encode;
 # it stays importable here, where perfbench/layers.py looks it up
-from .core import Dataset, DataView, Leaf, PartitionTree, _CutTable, _index_dtype, strict_rank  # noqa: F401
+from .core import strict_rank  # noqa: F401
 
 
 def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +131,7 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
     n = view.n
     if n < 1:
         raise ValueError("cannot median-split an empty view")
-    dataset = view.dataset
+    dataset, dim = view.dataset, _integer(dim, "dimension")
     if not 0 <= dim < dataset.d:
         raise ValueError(f"dimension {dim} out of range for d={dataset.d}")
     pivots, children = _cut_rows(view.indices[None], np.array([n]), dim, dataset)
@@ -213,7 +214,7 @@ class FullTree:
 def build_full_tree(view: DataView, k: int) -> FullTree:
     """k full levels under the view, each one ``_level`` call over the
     previous level's rows."""
-    if k < 0:
+    if _integer(k, "k") < 0:
         raise ValueError("k must be >= 0")
     dataset, levels = view.dataset, []
     cells, sizes = _rows(view)

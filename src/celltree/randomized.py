@@ -6,17 +6,14 @@ otherwise it median-splits in a uniformly random dimension. Both draws come
 from the cell's derived stream, so a cell's subtree is a pure function of
 its view and its seed.
 
-``randomized_decision`` decides one cell. A build, traced or not, decides
-the whole tree from the root a generation at a time instead
-(``_segmented_generations``): the cells of a generation are independent, so
-they are decided as one batch, with the same draws, the same records and the
-same trace as cell by cell. A generation's cells are the rows of one padded
-integer matrix of point ids, which the one median kernel,
-``median._cut_rows``, cuts with one call, each row in its own dimension; no
-cell is sorted, and the matrix holds about n + cells ids.
-``randomized_decision`` and ``median_split``, a one-row call of the same
-kernel, remain the per-cell reference, which the tests and
-``audit_autonomy``'s replays run.
+``randomized_decision`` decides one cell. Run by ``run_cells``, it and
+``median_split``, a one-row call of the median kernel, are the per-cell
+reference that the tests and ``audit_autonomy``'s replays run. A build,
+traced or not, decides the whole tree from the root a generation at a time
+instead (``_segmented_generations``), with the same draws, records and
+trace: a generation's cells are the rows of one padded matrix of point ids,
+which ``median._cut_rows`` cuts with one call, each row in its own
+dimension. No cell is sorted, and the matrix holds about n + cells ids.
 """
 from __future__ import annotations
 
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Leaf, PartitionTree, _Generation, _index_dtype, classify, majority_label
+from .core import Dataset, Leaf, PartitionTree, _Generation, _index_dtype, _integer, classify, majority_label
 from .median import _cut_rows, _row_ones, median_split
 from .runtime import (
     _GOLDEN,
@@ -35,10 +32,7 @@ from .runtime import (
     CellTask,
     DecisionFn,
     SplitDecision,
-    TraceRecord,
-    _byte_view,
-    _input_hash,
-    _integer,
+    _trace_generation,
     derive_child_seed,
     # run_cells stays importable here, where perfbench/layers.py rebinds it
     run_cells,  # noqa: F401
@@ -192,9 +186,7 @@ def _segmented_generations(
     frontier.clear()
     generations: list[_Generation] = []
     while True:
-        if trace is not None:
-            real = np.arange(cells.shape[1]) < sizes[:, None]
-            viewed = cells.reshape(-1).compress(real.reshape(-1))
+        rows = cells if trace is not None else None  # the generation's rows, for its trace
         # CellRng's first two words; the first, splitmix64(seed), is where
         # derive_child_seed starts too
         words = _splitmix64s(seeds[:, None] + _DRAWS)
@@ -213,41 +205,16 @@ def _segmented_generations(
             pivots, cells = _cut_rows(cells, kept, cut, dataset)
         gen = _Generation(split, stopped - ones, ones, cut, xs[pivots, cut], pivots, 2)
         generations.append(gen)
+        # each split's low child, then its high child
+        children = ((kept[:, None] - (1, 0)) // 2).ravel()
         if trace is not None:
-            _trace_generation(trace, gen, sizes, given or seeds.tolist(), cell_ids, parent_ids,
-                              viewed, dataset)
-            parent_ids = [cell_ids[i] for i in np.flatnonzero(split).tolist() for _ in (0, 1)]
-            cell_ids = [f"{parent}.{j}" for parent in parent_ids[::2] for j in (0, 1)]
+            cell_ids, parent_ids = _trace_generation(trace, gen, rows, sizes, children,
+                                                     given or seeds.tolist(), cell_ids, parent_ids, dataset)
             given = None
         if not kept.size:
             return generations
-        # each split's low child, then its high child
-        sizes = ((kept[:, None] - (1, 0)) // 2).ravel()
+        sizes = children
         seeds = _splitmix64s(words[split, :1] ^ _CHILD_SALTS).ravel()
-
-
-def _trace_generation(trace: BuildTrace, gen: _Generation, sizes: np.ndarray, seeds: list,
-                      ids: list, parents: list, viewed: np.ndarray, dataset: Dataset) -> None:
-    """Append one generation's ``TraceRecord``s, per cell in frontier order,
-    as ``run_cells`` makes them: the same fingerprint string as
-    ``decision_fingerprint``, the same SHA-256 over the same bytes, the view's
-    indices as a read-only int64 slice. ``viewed`` holds the cells' points,
-    each cell's in ascending order."""
-    viewed = viewed.astype(np.int64)
-    viewed.flags.writeable = False
-    xs, ys = _byte_view(dataset.xs.take(viewed, axis=0)), _byte_view(dataset.ys.take(viewed))
-    row = 8 * dataset.d
-    leaves = (f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
-    kept = sizes[gen.split] - 1
-    cuts = (f"split:dims={dim}:thr={thr!r}:sizes={low},{high}" for dim, thr, low, high in zip(
-        gen.dims.tolist(), gen.thrs.tolist(), (kept // 2).tolist(), (kept - kept // 2).tolist()))
-    ends = np.cumsum(sizes).tolist()
-    trace.records += [
-        TraceRecord(cell_id, parent_id, b - a, seed, next(cuts) if split else next(leaves),
-                    _input_hash(seed, xs[a * row:b * row], ys[a:b]), viewed[a:b])
-        for split, a, b, seed, cell_id, parent_id
-        in zip(gen.split.tolist(), [0] + ends[:-1], ends, seeds, ids, parents)
-    ]
 
 
 def build_randomized(

@@ -2,11 +2,16 @@
 
 Every cell of a growing tree is an independent unit of work: it receives a
 view of the data and a derived seed, and nothing else. A decision function
-maps (view, seed) to either a leaf or a split with child views. The runtime
+maps (view, seed) to either a leaf or a split with child views. `run_cells`
 decides cells frontier by frontier in one thread, derives child seeds by
 avalanche mixing of (parent seed, child index), and assembles the tree
 bottom-up by structure rather than by decision order, so the result is
 byte-for-byte identical for any order of the cells within a frontier.
+
+The builders decide a generation at a time in their own kernels, with the
+same records and, through `_trace_generation`, the same trace. `run_cells`
+serves direct callers and the per-cell references that the tests and
+`audit_autonomy`'s replays run.
 
 The same property is what makes the classifiers here "cellular": no decision
 may read global state such as the total training size. That cannot be made
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import operator
 import random
 import struct
 from dataclasses import dataclass, field
@@ -26,7 +30,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import DataView, Leaf, Node, _assemble
+from .core import Dataset, DataView, Leaf, Node, _assemble, _Generation, _integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -38,17 +42,6 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as the Python int that a seed or a count must be: a numpy
-    integer becomes one; a bool or a non-integer raises ValueError."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not a bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def derive_child_seed(parent_seed: int, child_index: int) -> int:
@@ -129,10 +122,13 @@ def decision_fingerprint(decision: CellDecision) -> str:
     """
     if isinstance(decision, Leaf):
         return f"leaf:{decision.count0}:{decision.count1}"
-    dims = ",".join(str(dim) for dim, _ in decision.splits)
-    thrs = ",".join(repr(thr) for _, thr in decision.splits)
-    sizes = ",".join(str(c.n) for c in decision.children)
-    return f"split:dims={dims}:thr={thrs}:sizes={sizes}"
+    return _split_fingerprint(decision.splits, [c.n for c in decision.children])
+
+
+def _split_fingerprint(cuts, sizes) -> str:
+    """A split's fingerprint: its (dim, threshold) cuts in cascade order, then its children's sizes."""
+    dims, thrs = ",".join(str(dim) for dim, _ in cuts), ",".join(repr(thr) for _, thr in cuts)
+    return f"split:dims={dims}:thr={thrs}:sizes={','.join(map(str, sizes))}"
 
 
 def _input_hash(seed: int, xs, ys) -> str:
@@ -183,14 +179,41 @@ class BuildTrace:
                 fh.write(line + "\n")
 
 
+def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, sizes: np.ndarray,
+                      children: np.ndarray, seeds: list, ids: list, parents: list,
+                      dataset: Dataset) -> tuple[list, list]:
+    """Append a kernel generation's ``TraceRecord``s as ``run_cells`` makes
+    them, each view's indices a read-only int64 slice. Row i of ``cells``
+    holds cell i's ``sizes[i]`` points ascending before its filler, and
+    ``children`` each split's children's sizes. Returns the next
+    generation's cell ids and parent ids."""
+    real = np.arange(cells.shape[1]) < sizes[:, None]
+    viewed = cells.reshape(-1).compress(real.reshape(-1)).astype(np.int64)
+    viewed.flags.writeable = False
+    xs, ys = _byte_view(dataset.xs.take(viewed, axis=0)), _byte_view(dataset.ys.take(viewed))
+    row, arity, w = 8 * dataset.d, gen.arity, gen.arity - 1
+    leaves = (f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
+    cuts, kids = list(zip(gen.dims.tolist(), gen.thrs.tolist())), children.tolist()
+    splits = (_split_fingerprint(cuts[s * w:(s + 1) * w], kids[s * arity:(s + 1) * arity])
+              for s in range(len(kids) // arity))
+    ends = np.cumsum(sizes).tolist()
+    trace.records += [
+        TraceRecord(cell_id, parent_id, b - a, seed, next(splits) if split else next(leaves),
+                    _input_hash(seed, xs[a * row:b * row], ys[a:b]), viewed[a:b])
+        for split, a, b, seed, cell_id, parent_id
+        in zip(gen.split.tolist(), [0] + ends[:-1], ends, seeds, ids, parents)
+    ]
+    at = np.flatnonzero(gen.split).tolist()
+    return [f"{ids[i]}.{j}" for i in at for j in range(arity)], [ids[i] for i in at for _ in range(arity)]
+
+
 def run_cells(
     root: CellTask,
     decide: DecisionFn,
     workers: int = 1,
     trace: BuildTrace | None = None,
     shuffle_seed: int | None = None,
-    _records: bool = False,
-) -> Node | list:
+) -> Node:
     """Execute a cell tree to completion and assemble the node tree.
 
     Cells are decided frontier by frontier, in one thread. Results are kept
@@ -199,9 +222,6 @@ def run_cells(
     inside each frontier (used by tests to demonstrate schedule
     independence); the assembled tree does not change. ``workers`` is
     accepted and checked to be an integer >= 1, and changes nothing.
-
-    With ``_records``, the generation records are returned instead of the
-    node tree, for ``PartitionTree._of_generations``.
     """
     if _integer(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
@@ -254,7 +274,7 @@ def run_cells(
                 )
         generations.append(cells)
         frontier = nxt
-    return generations if _records else _assemble(generations)[0]
+    return _assemble(generations)[0]
 
 
 @dataclass(frozen=True)
@@ -282,6 +302,8 @@ def audit_autonomy(
     at global state (for example the full training size) changes its answer
     on the detached copy and fails the audit.
     """
+    if _integer(sample, "sample") < 0:
+        raise ValueError("sample must be >= 0")
     records = list(trace.records)
     failures = _input_failures(records, dataset)
     rng = random.Random(seed)

@@ -72,6 +72,39 @@ def test_dataset_point_roundtrip():
     assert list(ds) == pts
 
 
+_ONE_LEAF_D2 = PartitionTree(Leaf(1, 0), d=2, mode="binary", config={})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(np.zeros((3, 1)), np.zeros(2)), r"ys must have shape \(n,\)"),
+        (lambda: Dataset(np.zeros((3, 1)), np.zeros((3, 1))), r"ys must have shape \(n,\)"),
+        (lambda: Dataset.from_points([]), "explicit d for empty data"),
+        (lambda: Dataset.from_points([LabeledPoint((0.1,), 0), LabeledPoint((0.1, 0.2), 1)]),
+         "points must share one dimension"),
+        (lambda: PartitionTree(Leaf(1, 0), d=1, mode="ternary", config={}), "unknown mode 'ternary'"),
+        (lambda: PartitionTree(Leaf(1, 0), d=0, mode="binary", config={}), "d must be >= 1"),
+        (lambda: route(_ONE_LEAF_D2, [0.5]), r"query must have shape \(2,\)"),
+        (lambda: route(_ONE_LEAF_D2, [[0.5, 0.5]]), r"query must have shape \(2,\)"),
+    ],
+    ids=["short-ys", "column-ys", "no-points", "mixed-points", "unknown-mode", "d-0", "short-query",
+         "row-query"],
+)
+def test_a_malformed_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_a_tree_without_its_root_has_no_other_unset_attribute(rng):
+    tree = build_randomized(make_dataset(rng, 50, 1), RandomizedConfig(beta=0.5))
+    assert "root" not in tree.__dict__
+    with pytest.raises(AttributeError, match="object has no attribute 'leaves'"):
+        tree.leaves
+    assert getattr(tree, "leaves", None) is None
+    assert tree.root is not None and "root" in tree.__dict__
+
+
 def test_view_requires_ascending_indices():
     ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]))
     with pytest.raises(ValueError):

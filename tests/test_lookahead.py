@@ -16,8 +16,10 @@ from celltree import (
     Internal,
     Leaf,
     LookaheadConfig,
+    PartitionTree,
     SplitDecision,
     audit_autonomy,
+    build_full_tree,
     build_lookahead,
     classify,
     decide_stop_lookahead,
@@ -68,6 +70,9 @@ def test_k_plus_examples():
         k_plus(-1, 0.1)
     with pytest.raises(ValueError):
         k_plus(10, 0.0)
+    for alpha in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            k_plus(10, alpha)
 
 
 @given(st.integers(0, 10**6), st.floats(0.01, 0.99))
@@ -93,6 +98,23 @@ def test_lookahead_error_hand_example():
     v = _view(values, labels)
     assert lookahead_error(v, 1) == pytest.approx(0.3, abs=1e-12)
     assert empirical_error(v) == 3 / 10
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (-1, "k must be >= 0"),
+        (2.5, "k must be an integer, got 2.5"),
+        (True, "k must be an integer, not a bool"),
+        (np.True_, "k must be an integer"),
+    ],
+)
+def test_a_level_count_that_is_no_level_count_is_refused(k, message):
+    view = _view(np.linspace(0, 1, 10), [0, 1] * 5)
+    for grow in (lookahead_error, build_full_tree):
+        with pytest.raises(ValueError, match=message):
+            grow(view, k)
+    assert lookahead_error(view, np.int64(2)) == lookahead_error(view, 2)
 
 
 def test_lookahead_error_empty_view():
@@ -245,6 +267,36 @@ def test_build_commits_full_levels():
     validate_tree(tree, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(0, 4_000),
+    shape=st.tuples(st.floats(0.05, 0.95), st.floats(0.5, 0.95)),
+    seed=st.sampled_from((-1, 0, 2**63, 2**64 - 1)),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_build_matches_the_per_cell_build(d, n, shape, seed, data_seed):
+    # alpha and beta as shares of their admissible ranges; a beta in the
+    # lower half of its range stops almost every root at n <= 4,000
+    alpha = shape[0] / d
+    beta = shape[1] * (1.0 - d * alpha) / 2.0
+    rng = np.random.default_rng(data_seed)
+    xs = np.floor(rng.random((n, d)) * 8) / 8  # a grid: ties are the common case
+    ys = (np.floor(xs * 4).sum(axis=1) % 2 == 1) ^ (rng.random(n) < 0.1)
+    data, config = Dataset(xs, ys.astype(np.int8)), LookaheadConfig(alpha=alpha, beta=beta, d=d, seed=seed)
+    built, reference = BuildTrace(), BuildTrace()
+    doc = serialize_tree(build_lookahead(data, config, trace=built))
+    assert doc == serialize_tree(build_lookahead(data, config))
+    # the per-cell run_cells reference, wrapped as build_lookahead wraps the kernel's records
+    node = run_cells(CellTask(data.full_view(), seed), lookahead_decision(config), trace=reference)
+    assert doc == serialize_tree(PartitionTree(root=node, d=d, mode="full", config={
+        "algo": "lookahead", "alpha": alpha, "beta": beta, "seed": seed, "n": n}))
+    assert built.lines() == reference.lines()
+    for got, want in zip(built.records, reference.records):
+        assert got.view_indices.dtype == np.int64 and not got.view_indices.flags.writeable
+        assert np.array_equal(got.view_indices, want.view_indices)
+
+
 def test_build_rejects_dimension_mismatch(rng):
     data = make_dataset(rng, 50, 2)
     with pytest.raises(ValueError):
@@ -364,30 +416,29 @@ def test_carried_probe_documents_do_not_depend_on_the_schedule(case):
 
 @pytest.mark.parametrize("case", CARRIED_CASES)
 def test_carried_share_serves_every_horizon(case):
-    # horizons inside the share and below it give the from-scratch error;
-    # the first probe takes the share, a second probe starts from scratch
+    # the reference's root split hands its children plain views, whose
+    # probes grow from scratch to the naive error at every horizon, inside
+    # the root's probe and below it
     data, cfg = _checker_case(*case)
-    decide = lookahead_decision(cfg)
+    split = lookahead_decision(cfg)(data.full_view(), cfg.seed)
+    assert isinstance(split, SplitDecision)
+    xs, ys = data.xs.tolist(), data.ys.tolist()
     depth = k_plus(data.n, cfg.alpha)
-    for k in range(depth + 2):
-        split = decide(data.full_view(), cfg.seed)
-        assert isinstance(split, SplitDecision)
-        for child in split.children:
-            plain = DataView(data, child.indices)
-            want = lookahead_error(plain, k)
-            assert lookahead_error(child, k) == want
-            assert child._share is None
-            assert lookahead_error(child, k) == want
+    for child in split.children:
+        assert type(child) is DataView
+        for k in range(depth + 2):
+            assert lookahead_error(child, k) == naive.look_error(xs, ys, cfg.d, child.indices.tolist(), k)
 
 
 def test_each_probe_level_is_grown_once(monkeypatch):
     d, *_ = case = CARRIED_CASES[2]
     data, cfg = _checker_case(*case)
-    calls = []
+    calls, grown = [], []
     grow = median._level
 
     def counted(cells, sizes, dataset):
         calls.append(len(sizes))  # one level grown under each row
+        grown.extend(tuple(row[:m].tolist()) for row, m in zip(cells, sizes.tolist()) if m)
         return grow(cells, sizes, dataset)
 
     monkeypatch.setattr(median, "_level", counted)
@@ -395,41 +446,44 @@ def test_each_probe_level_is_grown_once(monkeypatch):
     trace = BuildTrace()
     build_lookahead(data, cfg, trace=trace)
     # a cell's probe starts at its share's depth (the root's at 0) and goes
-    # down to its horizon; a carried cell that splits cuts its first level anew
+    # down to its horizon
     depth, want, scratch = {}, 0, 0
     for r in trace.records:  # parents come before their children
         k = k_plus(r.n, cfg.alpha)
         shared = depth[r.parent_id] - 1 if r.parent_id else 0
         depth[r.cell_id] = max(k, shared)
         want += sum(1 << (d * i) for i in range(shared, depth[r.cell_id]))
-        splits = r.decision_fp.startswith("split")
-        if splits and shared >= 1:
-            want += 1
-        scratch += sum(1 << (d * i) for i in range(k)) + splits
+        scratch += sum(1 << (d * i) for i in range(k)) + r.decision_fp.startswith("split")
     assert sum(calls) == want < scratch
+    # no cell of the tree or of a probe is cut into a level twice, so no
+    # split cuts its first level again
+    assert len(grown) == len(set(grown))
 
 
-def test_carried_share_is_freed_once_the_child_decides():
+def test_carried_share_is_freed_once_the_child_decides(monkeypatch):
+    # the kernel copies the root's points into its first row, so the root
+    # view's int64 indices are dead before the first level is grown
+    import weakref
+
     data, cfg = _checker_case(*CARRIED_CASES[2])
-    decide = lookahead_decision(cfg)
-    carried = []
+    full_view, grow = Dataset.full_view, lookahead._level
+    for trace in (None, BuildTrace()):
+        roots, alive = [], []
 
-    def spy(view, seed):
-        decision = decide(view, seed)
-        assert getattr(view, "_share", None) is None  # the decision took it
-        for child in getattr(decision, "children", ()):
-            # one extra set of indices per live cell: the share's rows are
-            # disjoint subsets of the child's own points
-            share = child._share
-            held = [row[:m] for row, m in zip(share.cells, share.sizes)]
-            assert sum(map(len, held)) <= child.n
-            assert np.isin(np.concatenate(held), child.indices).all()
-            carried.append(child)
-        return decision
+        def tracked_full_view(self):
+            view = full_view(self)
+            roots.append(weakref.ref(view.indices))
+            return view
 
-    run_cells(CellTask(view=data.full_view(), seed=cfg.seed), spy)
-    assert len(carried) > 4
-    assert all(child._share is None for child in carried)
+        def tracked_level(*args):
+            alive.append([root() is not None for root in roots])
+            return grow(*args)
+
+        monkeypatch.setattr(Dataset, "full_view", tracked_full_view)
+        monkeypatch.setattr(lookahead, "_level", tracked_level)
+        build_lookahead(data, cfg, trace=trace)
+        assert len(roots) == 1 and len(alive) >= 4
+        assert alive[0] == [False]
 
 
 def test_a_numpy_integer_seed_builds_as_the_python_int(rng):

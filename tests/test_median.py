@@ -16,7 +16,6 @@ from celltree import (
     median_split,
     strict_rank,
 )
-from celltree.lookahead import _CarriedView, _Probe
 from conftest import make_dataset
 
 
@@ -107,10 +106,9 @@ def test_median_split_matches_strict_rank_on_subviews(seed):
     st.integers(min_value=1, max_value=3),
     st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=4, max_value=300)),
     st.sampled_from([0, 1, 2, 4]),
-    st.booleans(),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_median_split_children_match_the_mask_reference(d, n, grid, carried, seed):
+def test_median_split_children_match_the_mask_reference(d, n, grid, seed):
     # the children are exactly the boolean-mask selections of the view's
     # ascending indices, as fresh arrays DataView._trusted can own
     rng = np.random.default_rng(seed)
@@ -119,8 +117,6 @@ def test_median_split_children_match_the_mask_reference(d, n, grid, carried, see
         xs = np.floor(xs * grid) / grid
     ds = Dataset(xs, (rng.random(n + 5) < 0.5).astype(np.int8))
     view = DataView(ds, np.sort(rng.choice(n + 5, size=n, replace=False)))
-    if carried:
-        view = _CarriedView.carry(view, _Probe([[view.label_counts()]], view.indices[None], np.array([n])))
     indices = view.indices
     for dim in range(d):
         rk = ds.ranks[dim][indices]
@@ -136,6 +132,26 @@ def test_median_split_children_match_the_mask_reference(d, n, grid, carried, see
             assert not got.flags.writeable
             assert got.base is None and got.flags.owndata
             assert not np.shares_memory(got, indices)
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (True, "dimension must be an integer, not a bool"),
+        (np.True_, "dimension must be an integer"),
+        (1.0, "dimension must be an integer, got 1.0"),
+        ("0", "dimension must be an integer"),
+        (2, "dimension 2 out of range for d=2"),
+        (-1, "dimension -1 out of range for d=2"),
+    ],
+)
+def test_a_dimension_that_is_no_dimension_is_refused(dim, message):
+    view = Dataset(np.random.default_rng(0).random((9, 2)), np.zeros(9, dtype=np.int8)).full_view()
+    for order in (strict_rank, median_split):
+        with pytest.raises(ValueError, match=message):
+            order(view, dim)
+    cut = median_split(view, np.int64(1))
+    assert type(cut.dim) is int and cut.pivot_index == median_split(view, 1).pivot_index
 
 
 def test_median_split_all_identical_coordinates():

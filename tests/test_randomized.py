@@ -44,6 +44,8 @@ def test_phi_small_cells_always_stop():
     for n in (0, 1, 2):
         assert phi(n, 0.2) == 1.0
         assert phi(n, 0.9) == 1.0
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        phi(-1, 0.5)
 
 
 def test_phi_frozen_values():
@@ -255,6 +257,12 @@ def test_an_ensemble_size_that_is_no_integer_is_refused(rng, t):
     with pytest.raises(ValueError, match="t must be an integer"):
         build_ensemble(data, RandomizedConfig(beta=0.5), t=t)
     assert len(build_ensemble(data, RandomizedConfig(beta=0.5), t=np.int64(2))) == 2
+
+
+@pytest.mark.parametrize("t", (0, -1))
+def test_an_ensemble_size_below_one_is_refused(rng, t):
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        build_ensemble(make_dataset(rng, 50, 1), RandomizedConfig(beta=0.5), t=t)
 
 
 # ---------------------------------------------------------------------------

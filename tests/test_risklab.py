@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from celltree import (
+    Leaf,
     LookaheadConfig,
+    PartitionTree,
     RandomizedConfig,
     bayes_classify,
     bayes_predictor,
@@ -276,6 +278,34 @@ def test_level_risk_matches_the_per_cell_mask_reference(name, d, n, k):
     dist = get_distribution(name, d=d)
     est = estimate_level_risk(dist, n=n, k=k, reps=2, seed=3)
     assert est.mean == _mask_level_risk_mean(dist, n, k, reps=2, seed=3)
+
+
+def test_level_risk_of_one_rep_reports_the_leaf_budget_error():
+    dist = get_distribution("d-lin", d=1)
+    est = estimate_level_risk(dist, n=500, k=1, reps=1, seed=3)
+    assert est.m == 1 and est.std_error == 0.01  # the per-leaf conditional budget
+    assert est.mean == _mask_level_risk_mean(dist, 500, 1, reps=1, seed=3)
+
+
+_D_LIN = get_distribution("d-lin", d=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: get_distribution("d-const", p=1.5), r"p must be in \[0, 1\]"),
+        (lambda: empirical_risk(constant_predictor(0), _D_LIN, 0, 0), "m must be >= 1"),
+        (lambda: depth_profile(PartitionTree(Leaf(1, 0), 1, "binary", {}), _D_LIN, 0, 0), "m must be >= 1"),
+        (lambda: estimate_level_risk(_D_LIN, n=100, k=1, reps=0, seed=0), "reps must be >= 1"),
+        (lambda: risk_curve("cart", _D_LIN, [], 1, 10, 0), "unknown algorithm 'cart'"),
+        (lambda: risk_curve("randomized", _D_LIN, [], 0, 10, 0), "reps must be >= 1"),
+        (lambda: risk_curve("lookahead", _D_LIN, [], 1, 10, 0, beta=0.2), "lookahead needs alpha"),
+    ],
+    ids=["p-1.5", "risk-m-0", "profile-m-0", "level-reps-0", "unknown-algo", "curve-reps-0", "no-alpha"],
+)
+def test_a_malformed_risk_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_level_risk_requires_enough_points():

@@ -333,6 +333,23 @@ def test_audit_passes_both_builders(rng):
         assert report.checked == min(10, len(trace.records))
 
 
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (2.5, "sample must be an integer, got 2.5"),
+        (True, "sample must be an integer, not a bool"),
+        (-1, "sample must be >= 0"),
+    ],
+)
+def test_an_audit_sample_that_is_no_count_is_refused(rng, sample, message):
+    data = make_dataset(rng, 200, 1)
+    trace = BuildTrace()
+    build_randomized(data, RandomizedConfig(beta=0.5, seed=1), trace=trace)
+    with pytest.raises(ValueError, match=message):
+        audit_autonomy(trace, data, randomized_decision(0.5), sample=sample)
+    assert audit_autonomy(trace, data, randomized_decision(0.5), sample=np.int64(0)).checked == 0
+
+
 def test_decision_fingerprint_ignores_indices(rng):
     data = make_dataset(rng, 101, 1, dup_prob=0.0)
     decide = randomized_decision(0.2)
