@@ -317,10 +317,9 @@ Node = Union[Leaf, Internal]
 
 def _assemble(generations: list) -> list[Node]:
     """The first generation's nodes, built bottom-up without recursion from
-    one list of cells per generation in frontier order. A cell is a finished
-    ``Leaf``, or a split's (splits, eaten, arity), whose children are the
-    next ``arity`` nodes built for the generation below. A ``_Generation``
-    iterates as such a list."""
+    ``run_cells``' lists of cells, one per generation in frontier order. A
+    cell is a finished ``Leaf``, or a split's (splits, eaten, arity), whose
+    children are the next ``arity`` nodes built for the generation below."""
     built: list[Node] = []
     for cells in reversed(generations):
         below = iter(built)
@@ -346,9 +345,7 @@ class _Generation:
     label counts of the others, the leaves, in order. ``dims``, ``thrs`` and
     ``eaten`` hold each split's ``arity - 1`` cuts in cascade order and their
     pivots (-1 where unknown), the splits in order; the generation below
-    holds each split's ``arity`` children in order. Iterating gives
-    ``run_cells``' per-cell records with Python ints and floats: a ``Leaf``,
-    or a split's (splits, eaten, arity).
+    holds each split's ``arity`` children in order.
     """
 
     __slots__ = ("split", "count0", "count1", "dims", "thrs", "eaten", "arity")
@@ -372,17 +369,6 @@ class _Generation:
             _ints([pivot for c in splits for pivot in c[1]]),
             arity,
         )
-
-    def __iter__(self):
-        leaves = zip(self.count0.tolist(), self.count1.tolist())
-        cuts = zip(self.dims.tolist(), self.thrs.tolist())
-        eaten = iter(self.eaten.tolist())
-        for split in self.split.tolist():
-            if split:
-                w = self.arity - 1
-                yield tuple(islice(cuts, w)), tuple(islice(eaten, w)), self.arity
-            else:
-                yield Leaf(*next(leaves))
 
 
 @dataclass(frozen=True)

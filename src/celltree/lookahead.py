@@ -36,8 +36,8 @@ from .runtime import (
     BuildTrace,
     DecisionFn,
     SplitDecision,
+    _root_frontier,
     _trace_generation,
-    derive_child_seed,
     # run_cells stays importable here, where perfbench/layers.py rebinds it
     run_cells,  # noqa: F401
 )
@@ -49,8 +49,8 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class LookaheadConfig:
-    """The lookahead rule's parameters. The seed is kept as a Python int: a
-    numpy integer is converted, and a bool or a non-integer raises
+    """The lookahead rule's parameters. ``d`` and the seed are kept as Python
+    ints: a numpy integer is converted, and a bool or a non-integer raises
     ValueError."""
 
     alpha: float
@@ -59,6 +59,7 @@ class LookaheadConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -186,8 +187,7 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
     d, ys, arity = data.d, data.ys, 1 << data.d
     rows, sizes = _rows(data.full_view())  # the root view's indices are freed here
     levels = [[sizes, _row_ones(rows, sizes, ys), None, rows]]
-    heap_dims = np.repeat(np.arange(d), [1 << j for j in range(d)])  # a full level's cut dimensions
-    seeds, ids, parents = [config.seed], ["r"], [""]  # the root's, for the trace
+    frontier = _root_frontier(config.seed)
     generations: list[_Generation] = []
     while True:
         ns = levels[0][0].tolist()
@@ -205,15 +205,16 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
         sizes, ones, _, rows = levels.pop(0)
         levels = [[_blocks(column, split) for column in level] for level in levels]
         eaten = levels[0][2].ravel() if levels else sizes[:0]  # a split cell has a horizon
-        dims = np.tile(heap_dims, int(split.sum()))
+        # each split's cut dimensions in heap order, 2^j cuts in dimension j;
+        # made only if a cell splits, which takes 2^d points or more
+        splits = int(split.sum())
+        dims = np.tile(np.repeat(np.arange(d), [1 << j for j in range(d)]), splits) if splits else eaten
         gen = _Generation(split, (sizes - ones)[~split], ones[~split], dims, data.xs[eaten, dims], eaten, arity)
         generations.append(gen)
         if trace is not None:
             children = levels[0][0] if levels else sizes[:0]
-            ids, parents = _trace_generation(trace, gen, rows, sizes, children, seeds, ids, parents, data)
-            seeds = [derive_child_seed(seed, j) for seed, s in zip(seeds, split.tolist()) if s
-                     for j in range(arity)]
-        if not split.any():
+            frontier = _trace_generation(trace, gen, rows, sizes, children, frontier, data)
+        if not splits:
             return generations
 
 

@@ -10,10 +10,11 @@ its view and its seed.
 ``median_split``, a one-row call of the median kernel, are the per-cell
 reference that the tests and ``audit_autonomy``'s replays run. A build,
 traced or not, decides the whole tree from the root a generation at a time
-instead (``_segmented_generations``), with the same draws, records and
-trace: a generation's cells are the rows of one padded matrix of point ids,
-which ``median._cut_rows`` cuts with one call, each row in its own
-dimension. No cell is sorted, and the matrix holds about n + cells ids.
+instead (``_generations``, shaped as ``lookahead._generations``), with the
+same draws, records and trace: a generation's cells are the rows of one
+padded matrix of point ids, which ``median._cut_rows`` cuts with one call,
+each row in its own dimension. No cell is sorted, and the matrix holds
+about n + cells ids.
 """
 from __future__ import annotations
 
@@ -22,16 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Leaf, PartitionTree, _Generation, _index_dtype, _integer, classify, majority_label
-from .median import _cut_rows, _row_ones, median_split
+from .core import Dataset, Leaf, PartitionTree, _Generation, _integer, classify, majority_label
+from .median import _cut_rows, _row_ones, _rows, median_split
 from .runtime import (
     _GOLDEN,
     _MASK64,
     BuildTrace,
     CellRng,
-    CellTask,
     DecisionFn,
     SplitDecision,
+    _child_seeds,
+    _root_frontier,
+    _splitmix64s,
     _trace_generation,
     derive_child_seed,
     # run_cells stays importable here, where perfbench/layers.py rebinds it
@@ -105,25 +108,8 @@ def randomized_decision(beta: float) -> DecisionFn:
     return decide
 
 
-# splitmix64's constants as uint64 scalars, made once
-_G64 = np.uint64(_GOLDEN)
-_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 # CellRng's state at its first and second draw, less the seed
 _DRAWS = np.array([0, _GOLDEN], dtype=np.uint64)
-# what derive_child_seed mixes into splitmix64(seed) for children 0 and 1
-_CHILD_SALTS = np.array([_GOLDEN, _GOLDEN + 1], dtype=np.uint64)
-
-
-def _splitmix64s(x: np.ndarray) -> np.ndarray:
-    """``splitmix64`` over a uint64 array; numpy's uint64 arithmetic wraps
-    exactly as the scalar version's 64-bit mask does."""
-    x = x + _G64
-    x ^= x >> 30
-    x *= _MIX1
-    x ^= x >> 27
-    x *= _MIX2
-    x ^= x >> 31
-    return x
 
 
 def _draws(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,63 +123,31 @@ def _draws(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, ((high * k + ((low * k) >> 32)) >> 32).astype(np.int64)
 
 
-def _cell_draws(seeds: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_draws`` per uint64 seed."""
-    return _draws(_splitmix64s(seeds[:, None] + _DRAWS), d)
+def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | None) -> list[_Generation]:
+    """Decide the tree from the root a generation at a time, each in a few
+    numpy passes, and return its records as ``core._Generation`` columns,
+    one per generation.
 
-
-def _child_seeds(seeds: np.ndarray, j: int) -> np.ndarray:
-    """``derive_child_seed(seed, j)`` per uint64 seed."""
-    return _splitmix64s(_splitmix64s(seeds) ^ _CHILD_SALTS[j])
-
-
-def _segmented_generations(
-    frontier: list[CellTask], beta: float, trace: BuildTrace | None = None
-) -> list[_Generation]:
-    """Decide ``frontier`` and every generation under it, each in a few
-    numpy passes, and return them as ``core._Generation`` columns, one per
-    generation: each iterates as ``run_cells``' records, per cell in
-    frontier order a ``Leaf``, or ``(((dim, threshold),), (pivot,), 2)``.
-
-    A generation's live cells are the rows of one integer matrix, cells x
-    width, in frontier order. Each row holds its cell's point ids ascending
-    at its front; the slots behind them are filler, told apart by column,
-    not by id. Rows that stop leave by ``compress(axis=0)``, their label
-    counts summed over real slots only; ``_cut_rows`` cuts the rest. Draws
-    and stop rule are ``randomized_decision``'s, so every record is the one
-    it would give cell by cell. With ``trace``, each generation appends the
-    ``TraceRecord``s that ``run_cells`` would, each view's indices being its
-    row's real prefix.
-
-    Memory: the matrix is as wide as the widest splitting cell. From the
-    root, one generation's cell sizes differ by at most one, so the matrix
-    holds about n + cells ids. A frontier handed in with uneven cells, which
-    only tests do, is padded to its widest cell. Clears ``frontier`` once
-    its points are copied.
+    A generation's live cells are the rows of one integer matrix in frontier
+    order, each row its cell's point ids ascending before filler slots, told
+    apart by column, not by id. The matrix is as wide as the widest splitting
+    cell, and a generation's cell sizes differ by at most one, so it holds
+    about n + cells ids. Rows that stop leave by ``compress(axis=0)``, their
+    label counts summed over real slots only; ``_cut_rows`` cuts the rest.
+    Draws and stop rule are ``randomized_decision``'s, so every record and
+    ``TraceRecord`` is the one ``run_cells`` gives cell by cell.
     """
-    dataset = frontier[0].view.dataset
-    d, xs, ys = dataset.d, dataset.xs, dataset.ys
-    sizes = np.array([task.view.n for task in frontier], dtype=np.int64)
-    seeds = np.array([task.seed & _MASK64 for task in frontier], dtype=np.uint64)
-    cells = np.zeros((sizes.size, sizes.max()), dtype=_index_dtype(dataset.n))  # filler id 0
-    for row, task in zip(cells, frontier):
-        row[:task.view.n] = task.view.indices
-    del task  # the last task: clearing frontier below then frees every view
-    if trace is not None:
-        cell_ids = [task.cell_id for task in frontier]
-        parent_ids = [task.parent_id for task in frontier]
-        given = [task.seed for task in frontier]  # recorded as given: -1 stays -1
-    frontier.clear()
+    d, xs, ys = data.d, data.xs, data.ys
+    cells, sizes = _rows(data.full_view())  # the root view's indices are freed here
+    seeds = np.array([config.seed & _MASK64], dtype=np.uint64)
+    frontier = _root_frontier(config.seed)
     generations: list[_Generation] = []
     while True:
         rows = cells if trace is not None else None  # the generation's rows, for its trace
-        # CellRng's first two words; the first, splitmix64(seed), is where
-        # derive_child_seed starts too
-        words = _splitmix64s(seeds[:, None] + _DRAWS)
-        u, dims = _draws(words, d)
+        u, dims = _draws(_splitmix64s(seeds[:, None] + _DRAWS), d)
         # phi on math, once per size: numpy's log can differ in the last bit
         least = int(sizes.min())
-        phis = np.array([phi(m, beta) for m in range(least, int(sizes.max()) + 1)])
+        phis = np.array([phi(m, config.beta) for m in range(least, int(sizes.max()) + 1)])
         stop = u <= phis[sizes - least]
         split = ~stop
         stopped, kept, cut = sizes[stop], sizes[split], dims[split]
@@ -202,19 +156,16 @@ def _segmented_generations(
         if kept.size:
             if stopped.size:  # the widest splitting cell sets the width
                 cells = cells[:, :kept.max()].compress(split, axis=0)
-            pivots, cells = _cut_rows(cells, kept, cut, dataset)
+            pivots, cells = _cut_rows(cells, kept, cut, data)
         gen = _Generation(split, stopped - ones, ones, cut, xs[pivots, cut], pivots, 2)
         generations.append(gen)
         # each split's low child, then its high child
         children = ((kept[:, None] - (1, 0)) // 2).ravel()
         if trace is not None:
-            cell_ids, parent_ids = _trace_generation(trace, gen, rows, sizes, children,
-                                                     given or seeds.tolist(), cell_ids, parent_ids, dataset)
-            given = None
+            frontier = _trace_generation(trace, gen, rows, sizes, children, frontier, data)
         if not kept.size:
             return generations
-        sizes = children
-        seeds = _splitmix64s(words[split, :1] ^ _CHILD_SALTS).ravel()
+        sizes, seeds = children, _child_seeds(seeds[split], 2)
 
 
 def build_randomized(
@@ -223,13 +174,12 @@ def build_randomized(
     workers: int = 1,
     trace: BuildTrace | None = None,
 ) -> PartitionTree:
-    """Decide the tree from the root in ``_segmented_generations``. Builds
-    run in one thread: ``workers`` is checked to be an integer >= 1, as
-    ``run_cells`` checks it, and changes nothing."""
+    """Decide the tree from the root in ``_generations``. Builds run in one
+    thread: ``workers`` is checked to be an integer >= 1, as ``run_cells``
+    checks it, and changes nothing."""
     if _integer(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
-    generations = _segmented_generations([CellTask(data.full_view(), config.seed)], config.beta, trace)
-    return PartitionTree._of_generations(generations, data.d, "binary", {
+    return PartitionTree._of_generations(_generations(data, config, trace), data.d, "binary", {
         "algo": "randomized",
         "beta": config.beta,
         "seed": config.seed,

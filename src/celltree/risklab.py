@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, predict_batch, route_depths
+from .core import Dataset, PartitionTree, _integer, predict_batch, route_depths
 from .lookahead import LookaheadConfig, build_lookahead
 from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
@@ -67,7 +67,7 @@ def builtin_distributions() -> tuple[str, ...]:
 
 
 def get_distribution(name: str, d: int = 2, p: float = 0.5) -> SyntheticDistribution:
-    if d < 1:
+    if _integer(d, "d") < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     key = name.strip().lower()
     if key == "d-const":
@@ -138,7 +138,7 @@ def empirical_risk(
     Standard error is the binomial sqrt(p(1-p)/m) of the estimate itself.
     ``seed`` must be >= 0, as ``PCG64`` takes it.
     """
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise ValueError("m must be >= 1")
     x_rng, y_rng = _generator(seed), _generator(seed)
     y_rng.bit_generator.advance(m * dist.d)
@@ -155,7 +155,7 @@ def depth_profile(
     tree: PartitionTree, dist: SyntheticDistribution, m: int, seed: int
 ) -> dict[int, int]:
     """Histogram {depth: count} of routed depths over m query draws."""
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise ValueError("m must be >= 1")
     depths = route_depths(tree, dist.sample_x(m, seed))
     values, counts = np.unique(depths, return_counts=True)
@@ -177,10 +177,12 @@ def estimate_level_risk(
     from uniform draws routed into the partition; the sample budget adapts
     until every visited leaf has enough points for a standard error of 0.01.
     """
-    if reps < 1:
+    if _integer(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
+    if _integer(k, "k") < 0:
+        raise ValueError("k must be >= 0")
     cells = 1 << (dist.d * k)
-    if n < cells:
+    if _integer(n, "n") < cells:
         raise ValueError(f"need n >= 2^(d*k) = {cells} points, got {n}")
     per_rep: list[float] = []
     for rep in range(reps):
@@ -278,8 +280,11 @@ def risk_curve(
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    if reps < 1:
+    if _integer(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
+    n_grid = [_integer(n, "n") for n in n_grid]
+    if any(n < 0 for n in n_grid):
+        raise ValueError(f"n must be >= 0, got {min(n_grid)}")
     if algo == "lookahead":
         if alpha is None:
             raise ValueError("lookahead needs alpha")

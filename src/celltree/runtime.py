@@ -8,10 +8,10 @@ avalanche mixing of (parent seed, child index), and assembles the tree
 bottom-up by structure rather than by decision order, so the result is
 byte-for-byte identical for any order of the cells within a frontier.
 
-The builders decide a generation at a time in their own kernels, with the
-same records and, through `_trace_generation`, the same trace. `run_cells`
-serves direct callers and the per-cell references that the tests and
-`audit_autonomy`'s replays run.
+The builders decide a generation at a time from the root in their own
+kernels, with the same records, child seeds (`_child_seeds`) and, through
+`_trace_generation`, the same trace. `run_cells` serves direct callers and
+the per-cell references that the tests and `audit_autonomy`'s replays run.
 
 The same property is what makes the classifiers here "cellular": no decision
 may read global state such as the total training size. That cannot be made
@@ -52,6 +52,30 @@ def derive_child_seed(parent_seed: int, child_index: int) -> int:
     and must not be used here.
     """
     return splitmix64(splitmix64(parent_seed & _MASK64) ^ (child_index + _GOLDEN))
+
+
+# splitmix64's constants as uint64 scalars, made once
+_G64 = np.uint64(_GOLDEN)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64s(x: np.ndarray) -> np.ndarray:
+    """``splitmix64`` over a uint64 array; numpy's uint64 arithmetic wraps
+    exactly as the scalar version's 64-bit mask does."""
+    x = x + _G64
+    x ^= x >> 30
+    x *= _MIX1
+    x ^= x >> 27
+    x *= _MIX2
+    x ^= x >> 31
+    return x
+
+
+def _child_seeds(seeds: np.ndarray, arity: int) -> np.ndarray:
+    """``derive_child_seed(seed, j)`` for each uint64 seed and each j below
+    ``arity``, seed by seed, in ``seeds.size * arity`` entries and no more."""
+    j = np.arange(seeds.size * arity, dtype=np.uint64) % np.uint64(arity)
+    return _splitmix64s(np.repeat(_splitmix64s(seeds), arity) ^ (j + _G64))
 
 
 class CellRng:
@@ -179,14 +203,19 @@ class BuildTrace:
                 fh.write(line + "\n")
 
 
+def _root_frontier(seed: int) -> tuple[list, list, list]:
+    """The root's trace frontier: its seed as given (-1 stays -1), cell id and parent id."""
+    return [seed], ["r"], [""]
+
+
 def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, sizes: np.ndarray,
-                      children: np.ndarray, seeds: list, ids: list, parents: list,
-                      dataset: Dataset) -> tuple[list, list]:
+                      children: np.ndarray, frontier: tuple, dataset: Dataset) -> tuple[list, list, list]:
     """Append a kernel generation's ``TraceRecord``s as ``run_cells`` makes
     them, each view's indices a read-only int64 slice. Row i of ``cells``
-    holds cell i's ``sizes[i]`` points ascending before its filler, and
-    ``children`` each split's children's sizes. Returns the next
-    generation's cell ids and parent ids."""
+    holds the ``sizes[i]`` points of ``frontier``'s cell i ascending before
+    its filler, and ``children`` each split's children's sizes. ``frontier``
+    holds the generation's seeds, cell ids and parent ids; returns the next's."""
+    seeds, ids, parents = frontier
     real = np.arange(cells.shape[1]) < sizes[:, None]
     viewed = cells.reshape(-1).compress(real.reshape(-1)).astype(np.int64)
     viewed.flags.writeable = False
@@ -204,7 +233,9 @@ def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, si
         in zip(gen.split.tolist(), [0] + ends[:-1], ends, seeds, ids, parents)
     ]
     at = np.flatnonzero(gen.split).tolist()
-    return [f"{ids[i]}.{j}" for i in at for j in range(arity)], [ids[i] for i in at for _ in range(arity)]
+    next_seeds = _child_seeds(np.array([seeds[i] & _MASK64 for i in at], dtype=np.uint64), arity)
+    return (next_seeds.tolist(), [f"{ids[i]}.{j}" for i in at for j in range(arity)],
+            [ids[i] for i in at for _ in range(arity)])
 
 
 def run_cells(

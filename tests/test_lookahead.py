@@ -486,6 +486,24 @@ def test_carried_share_is_freed_once_the_child_decides(monkeypatch):
         assert alive[0] == [False]
 
 
+def test_a_build_where_no_cell_splits_takes_no_memory_of_size_two_to_the_d():
+    # a split needs 2^d points or more; 10 points in d = 22 make one leaf,
+    # and a heap-order dimension list of 2^22 - 1 entries alone is 32 MiB
+    import tracemalloc
+
+    d = 22
+    data = Dataset(np.random.default_rng(0).random((10, d)), (np.arange(10) % 2).astype(np.int8))
+    for trace in (None, BuildTrace()):
+        tracemalloc.start()
+        try:
+            tree = build_lookahead(data, LookaheadConfig(0.5 / d, 0.1, d), trace=trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(tree.root, Leaf)
+        assert peak < 1 << 20
+
+
 def test_a_numpy_integer_seed_builds_as_the_python_int(rng):
     data = make_dataset(rng, 300, 2)
     doc = serialize_tree(build_lookahead(data, LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=3)))

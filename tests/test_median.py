@@ -338,6 +338,30 @@ def test_median_split_matches_the_index_select_reference(d, n, grid, seed):
         assert np.array_equal(cut.high.indices, indices[rk > rk[at]])
 
 
+def test_cut_rows_cuts_uneven_rows_as_median_split():
+    # rows of 0, 1, 2, 3 and 500 points padded to 500 columns, so most of
+    # the matrix's slots are filler; each row must come out as median_split
+    # cuts its own view, with one dimension for every row and with one per row
+    from celltree.median import _cut_rows
+
+    rng = np.random.default_rng(17)
+    ds = Dataset(np.floor(rng.random((506, 2)) * 4) / 4, (rng.random(506) < 0.4).astype(np.int8))
+    cells = [np.sort(c) for c in np.split(rng.permutation(506), [0, 1, 3, 6])]
+    sizes = np.array([c.size for c in cells])
+    assert sizes.tolist() == [0, 1, 2, 3, 500]
+    matrix = np.zeros((5, 500), dtype=np.int32)  # filler id 0
+    for row, c in zip(matrix, cells):
+        row[:c.size] = c
+    for cut in (1, np.array([0, 1, 1, 0, 1])):
+        pivots, children = _cut_rows(matrix, sizes, cut, ds)
+        assert pivots[0] == -1
+        for i, c in enumerate(cells[1:], start=1):
+            split = median_split(DataView(ds, c), int(np.broadcast_to(cut, 5)[i]))
+            assert pivots[i] == split.pivot_index
+            assert np.array_equal(children[2 * i, :split.low.n], split.low.indices)
+            assert np.array_equal(children[2 * i + 1, :split.high.n], split.high.indices)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),

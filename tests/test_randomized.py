@@ -11,8 +11,6 @@ from celltree import (
     CellRng,
     CellTask,
     Dataset,
-    DataView,
-    Internal,
     Leaf,
     LookaheadConfig,
     PartitionTree,
@@ -308,61 +306,36 @@ def test_untraced_build_matches_traced_build_from_a_small_root(workers):
 
 
 # ---------------------------------------------------------------------------
-# the segmented kernel against the per-cell path it replaces
+# the generation kernel against the per-cell path it replaces
 
 DRAW_SEEDS = (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15 - 1)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 255))
 def test_vectorized_draws_match_cell_rng(d):
-    from celltree.randomized import _cell_draws, _child_seeds
+    from celltree.randomized import _DRAWS, _draws
+    from celltree.runtime import _child_seeds, _splitmix64s
 
     seeds = np.array(DRAW_SEEDS, dtype=np.uint64)
-    u, dims = _cell_draws(seeds, d)
+    u, dims = _draws(_splitmix64s(seeds[:, None] + _DRAWS), d)
     for seed, got_u, got_dim in zip(DRAW_SEEDS, u.tolist(), dims.tolist()):
         rng = CellRng(seed)
         assert got_u == rng.uniform()
         assert got_dim == rng.randint(d)
-    for j in (0, 1):
-        assert _child_seeds(seeds, j).tolist() == [derive_child_seed(s, j) for s in DRAW_SEEDS]
+    for arity in (2, 4, 8):
+        want = [derive_child_seed(s, j) for s in DRAW_SEEDS for j in range(arity)]
+        assert _child_seeds(seeds, arity).tolist() == want
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 5))
 @pytest.mark.parametrize("seed", (-1, 0, 2**63))
 def test_kernel_from_the_root_reproduces_the_per_cell_build(d, seed):
-    from celltree.core import _assemble
-    from celltree.randomized import _segmented_generations
-
     beta = 0.99
     data = _differential_data(3_000, d, True, 40 + d)
-    root = CellTask(view=data.full_view(), seed=seed)
-    decide = randomized_decision(beta)
-    reference = run_cells(root, decide)
-    kernel = _assemble(_segmented_generations([root], beta))[0]
+    reference = run_cells(CellTask(view=data.full_view(), seed=seed), randomized_decision(beta))
+    kernel = build_randomized(data, RandomizedConfig(beta=beta, seed=seed)).root
     assert tree_stats(PartitionTree(reference, d, "binary", {})).internals > 50
     # repr tells a numpy integer or float from the Python one the writer needs
-    assert repr(kernel) == repr(reference)
-
-
-def test_kernel_decides_a_mid_build_frontier_as_the_per_cell_build():
-    from celltree.core import _assemble
-    from celltree.randomized import _segmented_generations
-
-    # 41 cells of a tie-heavy d = 3 dataset, with unrelated seeds, as a
-    # frontier halfway through a build would hold them
-    beta = 0.99
-    data = _differential_data(2_000, 3, True, 9)
-    rng = np.random.default_rng(9)
-    cuts = np.sort(rng.choice(np.arange(1, 2_000), 40, replace=False))
-    cells = [np.sort(c) for c in np.split(rng.permutation(2_000), cuts)]
-    frontier = [
-        CellTask(view=DataView(data, c), seed=derive_child_seed(-1, i)) for i, c in enumerate(cells)
-    ]
-    decide = randomized_decision(beta)
-    reference = [run_cells(task, decide) for task in frontier]
-    kernel = _assemble(_segmented_generations(list(frontier), beta))
-    # some cells stop at once and most split
-    assert 20 < sum(isinstance(node, Internal) for node in reference) < 41
     assert repr(kernel) == repr(reference)
 
 
@@ -441,43 +414,15 @@ def test_the_root_view_indices_are_freed_before_the_first_cut(monkeypatch, trace
     assert alive[0] == [False]
 
 
-def test_kernel_decides_a_frontier_of_uneven_cells_as_the_per_cell_path():
-    from celltree.core import _assemble
-    from celltree.randomized import _segmented_generations
-
-    # cells of 0, 1, 2, 3 and 500 points with unrelated seeds: the matrix is
-    # padded to 500 columns, so most of its slots are filler
-    beta = 0.99
-    data = _differential_data(506, 2, True, 17)
-    order = np.random.default_rng(17).permutation(506)
-    cells = [np.sort(c) for c in np.split(order, [0, 1, 3, 6])]
-    assert [c.size for c in cells] == [0, 1, 2, 3, 500]
-    frontier = [
-        CellTask(DataView(data, c), derive_child_seed(2**64 - 1, 7 * i + 3), cell_id=f"r{i}")
-        for i, c in enumerate(cells)
-    ]
-    decide = randomized_decision(beta)
-    reference, reference_trace = [], BuildTrace()
-    for task in frontier:
-        reference.append(run_cells(task, decide, trace=reference_trace))
-    kernel_trace = BuildTrace()
-    kernel = _assemble(_segmented_generations(list(frontier), beta, kernel_trace))
-    assert isinstance(reference[-1], Internal)
-    assert repr(kernel) == repr(reference)
-    # the kernel records generation by generation, run_cells cell tree by cell tree
-    assert sorted(kernel_trace.lines()) == sorted(reference_trace.lines())
-
-
 def test_wide_gather_indices_give_the_same_build(monkeypatch):
     # from d * n >= 2^31 on, ids and gather indices are int64; force that
-    # here, in the builder's id matrix and in the kernel's flat gather index
-    from celltree import median, randomized
+    # here, in the root's id matrix and in the kernel's flat gather index
+    from celltree import median
 
     data = _differential_data(3_000, 3, True, 5)
     config = RandomizedConfig(beta=0.99, seed=2**63)
     narrow, wide = BuildTrace(), BuildTrace()
     doc = serialize_tree(build_randomized(data, config, trace=narrow))
-    monkeypatch.setattr(randomized, "_index_dtype", lambda n: np.int64)
     monkeypatch.setattr(median, "_index_dtype", lambda n: np.int64)
     assert serialize_tree(build_randomized(data, config, trace=wide)) == doc
     assert wide.lines() == narrow.lines()

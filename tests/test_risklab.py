@@ -300,8 +300,25 @@ _D_LIN = get_distribution("d-lin", d=1)
         (lambda: risk_curve("cart", _D_LIN, [], 1, 10, 0), "unknown algorithm 'cart'"),
         (lambda: risk_curve("randomized", _D_LIN, [], 0, 10, 0), "reps must be >= 1"),
         (lambda: risk_curve("lookahead", _D_LIN, [], 1, 10, 0, beta=0.2), "lookahead needs alpha"),
+        (lambda: risk_curve("randomized", _D_LIN, [20], True, 10, 0), "reps must be an integer, not a bool"),
+        (lambda: risk_curve("randomized", _D_LIN, [-1], 1, 10, 0), "n must be >= 0, got -1"),
+        (lambda: risk_curve("randomized", _D_LIN, [20.0], 1, 10, 0), "n must be an integer, got 20.0"),
+        (lambda: empirical_risk(constant_predictor(0), _D_LIN, True, 0), "m must be an integer, not a bool"),
+        (lambda: empirical_risk(constant_predictor(0), _D_LIN, 2.5, 0), "m must be an integer, got 2.5"),
+        (lambda: depth_profile(PartitionTree(Leaf(1, 0), 1, "binary", {}), _D_LIN, 2.5, 0),
+         "m must be an integer, got 2.5"),
+        (lambda: estimate_level_risk(_D_LIN, n=100, k=-1, reps=1, seed=0), "k must be >= 0"),
+        (lambda: estimate_level_risk(_D_LIN, n=100, k=1.5, reps=1, seed=0), "k must be an integer, got 1.5"),
+        (lambda: estimate_level_risk(_D_LIN, n=100, k=1, reps=1.5, seed=0), "reps must be an integer, got 1.5"),
+        (lambda: get_distribution("d-lin", d=1.5), "d must be an integer, got 1.5"),
+        (lambda: get_distribution("d-lin", d=0), "d must be >= 1, got 0"),
+        (lambda: LookaheadConfig(0.1, 0.1, d=True), "d must be an integer, not a bool"),
+        (lambda: LookaheadConfig(0.1, 0.1, d=2.0), "d must be an integer, got 2.0"),
     ],
-    ids=["p-1.5", "risk-m-0", "profile-m-0", "level-reps-0", "unknown-algo", "curve-reps-0", "no-alpha"],
+    ids=["p-1.5", "risk-m-0", "profile-m-0", "level-reps-0", "unknown-algo", "curve-reps-0", "no-alpha",
+         "curve-reps-true", "curve-n-neg", "curve-n-float", "risk-m-true", "risk-m-2.5", "profile-m-2.5",
+         "level-k-neg", "level-k-1.5", "level-reps-1.5", "dist-d-1.5", "dist-d-0", "config-d-true",
+         "config-d-2.0"],
 )
 def test_a_malformed_risk_argument_is_refused(call, message):
     with pytest.raises(ValueError, match=message):

@@ -182,7 +182,7 @@ def test_worker_error_propagates_from_the_pool(rng):
 def test_no_thread_starts_at_any_worker_count(tmp_path, monkeypatch):
     """Builds run in one thread: ``workers`` is checked and changes nothing.
 
-    The randomized build runs the segmented kernel several generations
+    The randomized build runs its generation kernel several generations
     deep, and the lookahead build splits below the root.
     """
     xs = np.random.default_rng(5).random((3000, 2))
