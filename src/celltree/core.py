@@ -82,13 +82,19 @@ class Dataset:
     ``xs`` has shape (n, d) float64 and ``ys`` shape (n,) int8, each copied
     once into an owned read-only C-contiguous array, so views handed to
     builders can never be mutated behind their back. Labels must equal 0 or 1
-    before the int8 cast: 256, 0.5 or NaN is refused, not wrapped. Builders
-    read ``_rank_table``, the presort (4 * d * n bytes below 2^31 points),
-    built on first use and kept for the dataset's lifetime; the int64
-    ``ranks`` is built on request.
+    before the int8 cast: 256, 0.5 or NaN is refused, not wrapped.
+
+    Untraced builds cut in storage order, the points sorted by (dimension-0
+    value, index), and read ``_storage``: that order, the rank table in it
+    (4 * d * n bytes below 2^31 points, row 0 being 0..n-1) and the labels
+    in it, 5 * n bytes more. Traced builds, whose records name dataset
+    indices, and the per-cell reference read ``_rank_table``, the same table
+    in dataset order; the int64 ``ranks`` widens it on request. Each is built
+    on first use by its own argsorts and kept for the dataset's lifetime, so
+    a dataset that only untraced builds read holds one rank table.
     """
 
-    __slots__ = ("xs", "ys", "_table", "_ranks")
+    __slots__ = ("xs", "ys", "_order", "_table", "_labels", "_indexed", "_ranks")
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         xs = np.array(xs, dtype=np.float64, order="C")
@@ -106,11 +112,22 @@ class Dataset:
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_table", None)
-        object.__setattr__(self, "_ranks", None)
+        for name in self.__slots__[2:]:
+            object.__setattr__(self, name, None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Dataset is immutable")
+
+    def _presort(self, dim: int) -> np.ndarray:
+        """Dimension ``dim``'s strict (value, index) order: a stable argsort
+        of the column."""
+        return np.argsort(np.ascontiguousarray(self.xs[:, dim]), kind="stable")
+
+    def _keep(self, **arrays) -> None:
+        """Keep each array, read-only, in the slot named by its keyword."""
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def _rank_table(self) -> np.ndarray:
@@ -122,17 +139,40 @@ class Dataset:
         are built on first use and kept. If a caller's own threads race on
         the first use, each computes the same array; one copy is kept.
         """
-        table = self._table
+        table = self._indexed
         if table is None:
-            dtype = _index_dtype(self.n)
-            table = np.empty((self.d, self.n), dtype=dtype)
-            positions = np.arange(self.n, dtype=dtype)
+            table = np.empty((self.d, self.n), dtype=_index_dtype(self.n))
+            positions = np.arange(self.n, dtype=table.dtype)
             for dim in range(self.d):
-                column = np.ascontiguousarray(self.xs[:, dim])
-                table[dim, np.argsort(column, kind="stable")] = positions
-            table.flags.writeable = False
-            object.__setattr__(self, "_table", table)
+                table[dim, self._presort(dim)] = positions
+            self._keep(_indexed=table)
         return table
+
+    @property
+    def _storage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only storage order, rank table and labels: storage id s is
+        point ``order[s]``, the s-th in dimension 0's strict order, and its
+        ranks and label are ``table[:, s]`` and ``labels[s]``. Built on first
+        use and kept: dimension 0's argsort is the order, and each other
+        row and the labels are gathered along it, each row from one argsort
+        of its column. Threads racing on the first use compute equal arrays,
+        as for ``_rank_table``."""
+        if self._table is None:
+            n, dtype = self.n, _index_dtype(self.n)
+            # the kept arrays are allocated before the presort's temporaries:
+            # allocated after them, they held the freed heap below them
+            # resident, and perfbench's eval-csv peaked 11 MiB higher
+            table, order, labels = np.empty((self.d, n), dtype), np.empty(n, dtype), np.empty(n, np.int8)
+            order[:] = self._presort(0)
+            self.ys.take(order, out=labels)
+            table[0] = positions = np.arange(n, dtype=dtype)
+            ranks = np.empty(n, dtype)
+            for dim in range(1, self.d):
+                ranks[self._presort(dim)] = positions
+                ranks.take(order, out=table[dim])
+            # the table last: it marks the other two as kept
+            self._keep(_order=order, _labels=labels, _table=table)
+        return self._order, self._table, self._labels
 
     @property
     def ranks(self) -> np.ndarray:
@@ -141,12 +181,9 @@ class Dataset:
         Built from the rank table on the first request, at 8 * d * n bytes,
         and kept. No builder reads it.
         """
-        ranks = self._ranks
-        if ranks is None:
-            ranks = self._rank_table.astype(np.int64)
-            ranks.flags.writeable = False
-            object.__setattr__(self, "_ranks", ranks)
-        return ranks
+        if self._ranks is None:
+            self._keep(_ranks=self._rank_table.astype(np.int64))
+        return self._ranks
 
     @property
     def n(self) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, DataView, Leaf, PartitionTree, _Generation, _integer
-from .median import _level, _row_ones, _rows, full_level_split
+from .median import _cut_order, _level, _row_ones, _rows, full_level_split
 from .runtime import (
     BuildTrace,
     DecisionFn,
@@ -108,7 +108,7 @@ def _probe(view: DataView, k: int) -> list:
     cells, sizes = _rows(view)
     counts = [[view.label_counts()]]
     for _ in range(k):
-        _, cells, sizes = _level(cells, sizes, view.dataset)
+        _, cells, sizes = _level(cells, sizes, view.dataset._rank_table)
         counts.append(_counts(sizes, _row_ones(cells, sizes, view.dataset.ys)))
     return counts
 
@@ -183,8 +183,12 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
     level's, or every level's with ``trace``. A cell stops by ``_stops`` on
     its own two blocks, read in canonical order, so every record and
     ``TraceRecord`` is the one ``run_cells`` gives with ``lookahead_decision``.
+    Untraced, the rows hold storage ids (``median._cut_order``), whose
+    dimension-0 cuts read no rank, and each generation's pivots are mapped
+    back to dataset indices.
     """
-    d, ys, arity = data.d, data.ys, 1 << data.d
+    d, arity = data.d, 1 << data.d
+    order, table, ys = _cut_order(data, trace is not None)
     rows, sizes = _rows(data.full_view())  # the root view's indices are freed here
     levels = [[sizes, _row_ones(rows, sizes, ys), None, rows]]
     frontier = _root_frontier(config.seed)
@@ -194,7 +198,7 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
         ks = [k_plus(n, config.alpha) for n in ns]
         while len(levels) <= max(ks):
             top = levels[-1]
-            pivots, rows, sizes = _level(top[3], top[0], data)
+            pivots, rows, sizes = _level(top[3], top[0], table, order is not None)
             if trace is None:
                 top[3] = None
             cuts = np.concatenate([p.reshape(top[0].size, -1) for p in pivots], axis=1)
@@ -205,6 +209,8 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
         sizes, ones, _, rows = levels.pop(0)
         levels = [[_blocks(column, split) for column in level] for level in levels]
         eaten = levels[0][2].ravel() if levels else sizes[:0]  # a split cell has a horizon
+        if order is not None:
+            eaten = order.take(eaten)
         # each split's cut dimensions in heap order, 2^j cuts in dimension j;
         # made only if a cell splits, which takes 2^d points or more
         splits = int(split.sum())

@@ -7,25 +7,39 @@ smaller than the parent, which is what guarantees termination no matter how
 degenerate the coordinates are.
 
 Every cut is made by ``_cut_rows`` over the rows of a padded matrix of point
-ids, one row per cell. The randomized builder cuts a generation with one
-call, each row in its own dimension. ``_level`` grows a full level under
-every row with one call per dimension, and ``full_level_split``,
-``build_full_tree``, ``full_tree_leaves`` and the lookahead probe use it.
+ids, one row per cell, or by ``_cut_positions`` where the ids are the ranks.
+The randomized builder cuts a generation with one call, each row in its own
+dimension. ``_level`` grows a full level under every row with one call per
+dimension, and ``full_level_split``, ``build_full_tree``,
+``full_tree_leaves`` and the lookahead probe use it.
 ``median_split``, a one-row call that no build makes, is the per-cell
 reference. An empty row, a cell that a full level ran out of points for,
 reports pivot -1 and no cut record, and splits into two empty children.
 
 The kernel never sorts a cell. It compares the dataset's presorted ranks
-(``Dataset._rank_table``, int32 below 2^31 points, 4 * d * n bytes), which
-encode the strict order of the whole dataset and therefore of every subset
-of it: a cell's own ranks order its points exactly as sorting them would.
-A linear ``np.partition`` on the narrow ranks selects each row's median rank
-by value; since ranks are distinct, the one entry equal to it locates the
+(int32 below 2^31 points, 4 * d * n bytes), which encode the strict order
+of the whole dataset and therefore of every subset of it: a cell's own
+ranks order its points exactly as sorting them would. A linear
+``np.partition`` on the narrow ranks selects each row's median rank by
+value; since ranks are distinct, the one entry equal to it locates the
 pivot, and selecting each row's ascending ids by rank keeps each child
 ascending without a sort (SLIQ-style presorting; Mehta, Agrawal & Rissanen
 1996). ``ndarray.compress`` selects them: boolean indexing returns the same
 array and is 3.5-4x slower (numpy 2.4) on a mask as unpredictable as a
 median cut's.
+
+The kernel reads whichever rank table and labels it is handed, in the order
+its ids number points in (``_cut_order``). An untraced build cuts in the
+dataset's storage order, the points sorted by dimension-0 rank
+(``Dataset._storage``): a cell's points then sit at nearby ids, so the rank
+gathers read memory nearly in order, and each generation maps its pivots
+back to dataset indices through the order. Storage ids are dimension 0's
+ranks, so the lookahead kernel's dimension-0 cuts are ``_cut_positions``,
+which takes a row's r-th id as its pivot without reading a rank.
+The randomized kernel cuts every row in its own dimension with one gather,
+so it reads row 0 of the table like any other. Traced builds, whose records
+name dataset indices, and the per-cell reference cut in dataset order
+(``Dataset._rank_table``).
 """
 from __future__ import annotations
 
@@ -41,11 +55,14 @@ from .core import Dataset, DataView, Leaf, PartitionTree, _CutTable, _index_dtyp
 from .core import strict_rank  # noqa: F401
 
 
-def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Median-cut every row of ``cells``, row i holding ``kept[i]`` point
     ids ascending before its filler, in dimension ``cut``: one int for every
     row, or an array of one per row. Returns the pivots, -1 for an empty
     row, and the next matrix: each row's low child, then its high child.
+    ``table[dim]`` holds dimension dim's ranks in the order the ids number
+    points in: ``table`` is ``Dataset._rank_table`` for dataset indices, or
+    the storage table of ``Dataset._storage`` for storage ids.
 
     Filler slots get negative ranks, distinct by column, or n, so many of
     each that every row's median, its r-th smallest rank, r = (kept[i] + 1)
@@ -58,11 +75,11 @@ def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, dataset: Dataset) -> tup
     rows, width = cells.shape
     if not width:  # only empty rows
         return np.full(rows, -1, dtype=cells.dtype), np.empty((2 * rows, 0), dtype=cells.dtype)
-    n, rank = dataset.n, (width + 1) // 2
+    n, rank = table.shape[1], (width + 1) // 2
     if np.ndim(cut):  # the flat index dim * n + id reaches d * n, beyond int32 before the ids do
-        rk = dataset._rank_table.reshape(-1).take((cut * n).astype(_index_dtype(dataset.d * n))[:, None] + cells)
+        rk = table.reshape(-1).take((cut * n).astype(_index_dtype(table.size))[:, None] + cells)
     else:
-        rk = dataset._rank_table[cut].take(cells)
+        rk = table[cut].take(cells)
     least = int(kept.min())
     if least < width:  # row i's filler: rank c - W in column c up to column R + kept[i] // 2, then n
         cols = np.arange(least, width)
@@ -80,6 +97,25 @@ def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, dataset: Dataset) -> tup
     return pivots, nxt.reshape(2 * rows, width - rank)
 
 
+def _cut_positions(cells: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_cut_rows`` where the ids are the cut dimension's ranks, as storage
+    ids are dimension 0's: each row, ascending, is already in order, so its
+    r-th slot holds the pivot and the slots before and after it are the
+    children. Nothing is gathered, compared or selected."""
+    rows, width = cells.shape
+    if not width:  # only empty rows
+        return np.full(rows, -1, dtype=cells.dtype), np.empty((2 * rows, 0), dtype=cells.dtype)
+    rank, r = (width + 1) // 2, (kept + 1) // 2
+    pivots = np.take_along_axis(cells, np.maximum(r - 1, 0)[:, None], axis=1)[:, 0]
+    pivots[kept == 0] = -1
+    nxt = np.empty((rows, 2, width - rank), dtype=cells.dtype)
+    nxt[:, 0, :rank - 1] = cells[:, :rank - 1]  # a short low child's filler: the ids after it
+    nxt[:, 0, rank - 1:] = 0  # a filler slot where the width is even
+    nxt[:, 1] = cells[:, rank:] if (r == rank).all() else np.take_along_axis(
+        cells, r[:, None] + np.arange(width - rank), axis=1)
+    return pivots, nxt.reshape(2 * rows, width - rank)
+
+
 def _row_ones(cells: np.ndarray, sizes: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Each row's count of label 1 over its ``sizes[i]`` real slots."""
     ones = ys.take(cells)
@@ -93,19 +129,35 @@ def _rows(view: DataView) -> tuple[np.ndarray, np.ndarray]:
     return view.indices.astype(_index_dtype(view.dataset.n))[None], np.array([view.n])
 
 
+def _cut_order(dataset: Dataset, traced: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The order a build's ids number points in, its rank table and its
+    labels. A traced build cuts in dataset order (order None), which its
+    records name; an untraced one in the dataset's storage order, where a
+    cell's points sit at nearby ids, and maps its pivots back through the
+    order."""
+    return (None, dataset._rank_table, dataset.ys) if traced else dataset._storage
+
+
 def _views(cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> list[DataView]:
     """One view per row, over an owned int64 copy of its real ids."""
     return [DataView._trusted(dataset, row[:m].astype(np.int64)) for row, m in zip(cells, sizes.tolist())]
 
 
-def _level(cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> tuple[list, np.ndarray, np.ndarray]:
+def _level(cells: np.ndarray, sizes: np.ndarray, table: np.ndarray,
+           by_position: bool = False) -> tuple[list, np.ndarray, np.ndarray]:
     """One full level under every row: all rows cut in dimension 0, all
-    their halves in dimension 1, and so on. Returns each dimension's pivots
-    (row i's cuts in dimension j are entries i * 2^j to (i + 1) * 2^j), then
-    the 2^d children of every row in canonical order and their sizes."""
+    their halves in dimension 1, and so on, each cut reading ``table`` as
+    ``_cut_rows`` does. With ``by_position`` the ids are dimension 0's
+    ranks, as storage ids are, and ``_cut_positions`` makes the dimension-0
+    cuts. Returns each dimension's pivots (row i's cuts in dimension j are
+    entries i * 2^j to (i + 1) * 2^j), then the 2^d children of every row in
+    canonical order and their sizes."""
     pivots = []
-    for dim in range(dataset.d):
-        cut, cells = _cut_rows(cells, sizes, dim, dataset)
+    for dim in range(len(table)):
+        if by_position and not dim:
+            cut, cells = _cut_positions(cells, sizes)
+        else:
+            cut, cells = _cut_rows(cells, sizes, dim, table)
         pivots.append(cut)
         sizes = (np.maximum(sizes[:, None] - (1, 0), 0) // 2).reshape(-1)
     return pivots, cells, sizes
@@ -134,7 +186,7 @@ def median_split(view: DataView, dim: int) -> MedianSplit:
     dataset, dim = view.dataset, _integer(dim, "dimension")
     if not 0 <= dim < dataset.d:
         raise ValueError(f"dimension {dim} out of range for d={dataset.d}")
-    pivots, children = _cut_rows(view.indices[None], np.array([n]), dim, dataset)
+    pivots, children = _cut_rows(view.indices[None], np.array([n]), dim, dataset._rank_table)
     pivot = int(pivots[0])
     low, high = _views(children, np.array([(n - 1) // 2, n // 2]), dataset)
     return MedianSplit(dim, pivot, float(dataset.xs[pivot, dim]), low, high)
@@ -177,7 +229,7 @@ def _splits(pivots: list, cells: np.ndarray, sizes: np.ndarray, dataset: Dataset
 
 def full_level_split(view: DataView) -> LevelSplit:
     """Median-cut the view once in every dimension, in dimension order."""
-    return _splits(*_level(*_rows(view), view.dataset), view.dataset)[0]
+    return _splits(*_level(*_rows(view), view.dataset._rank_table), view.dataset)[0]
 
 
 def full_tree_leaves(view: DataView, k: int) -> tuple[list[DataView], int]:
@@ -219,7 +271,7 @@ def build_full_tree(view: DataView, k: int) -> FullTree:
     dataset, levels = view.dataset, []
     cells, sizes = _rows(view)
     for _ in range(k):
-        pivots, cells, sizes = _level(cells, sizes, dataset)
+        pivots, cells, sizes = _level(cells, sizes, dataset._rank_table)
         levels.append(_splits(pivots, cells, sizes, dataset))
     leaves = [child for level in levels[-1] for child in level.children] if k else [view]
     cells = [level for splits in levels for level in splits]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Leaf, PartitionTree, _Generation, _integer, classify, majority_label
-from .median import _cut_rows, _row_ones, _rows, median_split
+from .median import _cut_order, _cut_rows, _row_ones, _rows, median_split
 from .runtime import (
     _GOLDEN,
     _MASK64,
@@ -135,9 +135,12 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
     about n + cells ids. Rows that stop leave by ``compress(axis=0)``, their
     label counts summed over real slots only; ``_cut_rows`` cuts the rest.
     Draws and stop rule are ``randomized_decision``'s, so every record and
-    ``TraceRecord`` is the one ``run_cells`` gives cell by cell.
+    ``TraceRecord`` is the one ``run_cells`` gives cell by cell. Untraced,
+    the ids are storage ids (``median._cut_order``), and each generation's
+    pivots are mapped back to dataset indices.
     """
-    d, xs, ys = data.d, data.xs, data.ys
+    d, xs = data.d, data.xs
+    order, table, ys = _cut_order(data, trace is not None)
     cells, sizes = _rows(data.full_view())  # the root view's indices are freed here
     seeds = np.array([config.seed & _MASK64], dtype=np.uint64)
     frontier = _root_frontier(config.seed)
@@ -156,7 +159,9 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
         if kept.size:
             if stopped.size:  # the widest splitting cell sets the width
                 cells = cells[:, :kept.max()].compress(split, axis=0)
-            pivots, cells = _cut_rows(cells, kept, cut, data)
+            pivots, cells = _cut_rows(cells, kept, cut, table)
+            if order is not None:
+                pivots = order.take(pivots)
         gen = _Generation(split, stopped - ones, ones, cut, xs[pivots, cut], pivots, 2)
         generations.append(gen)
         # each split's low child, then its high child

@@ -282,6 +282,8 @@ def risk_curve(
         raise ValueError(f"unknown algorithm {algo!r}")
     if _integer(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
+    if _integer(m, "m") < 1:  # before any tree is trained for it
+        raise ValueError("m must be >= 1")
     n_grid = [_integer(n, "n") for n in n_grid]
     if any(n < 0 for n in n_grid):
         raise ValueError(f"n must be >= 0, got {min(n_grid)}")

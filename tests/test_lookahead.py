@@ -436,10 +436,10 @@ def test_each_probe_level_is_grown_once(monkeypatch):
     calls, grown = [], []
     grow = median._level
 
-    def counted(cells, sizes, dataset):
+    def counted(cells, sizes, *args):
         calls.append(len(sizes))  # one level grown under each row
         grown.extend(tuple(row[:m].tolist()) for row, m in zip(cells, sizes.tolist()) if m)
-        return grow(cells, sizes, dataset)
+        return grow(cells, sizes, *args)
 
     monkeypatch.setattr(median, "_level", counted)
     monkeypatch.setattr(lookahead, "_level", counted)

@@ -353,7 +353,7 @@ def test_cut_rows_cuts_uneven_rows_as_median_split():
     for row, c in zip(matrix, cells):
         row[:c.size] = c
     for cut in (1, np.array([0, 1, 1, 0, 1])):
-        pivots, children = _cut_rows(matrix, sizes, cut, ds)
+        pivots, children = _cut_rows(matrix, sizes, cut, ds._rank_table)
         assert pivots[0] == -1
         for i, c in enumerate(cells[1:], start=1):
             split = median_split(DataView(ds, c), int(np.broadcast_to(cut, 5)[i]))

@@ -438,7 +438,7 @@ def test_a_build_neither_sorts_nor_splits_cell_by_cell(monkeypatch, algo):
     else:  # a 4 x 4 checker on the grid: the root's children split again
         data = Dataset(data.xs, (np.floor(4 * data.xs).sum(axis=1) % 2).astype(np.int8))
         config, build, internals, records = LookaheadConfig(0.25, 0.2, 2, seed=11), build_lookahead, 4, 20
-    data._rank_table  # the presort is the one argsort a build may need
+    data._rank_table, data._storage  # the presorts are the only argsorts a build may need
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"a {algo} build sorted or split a single cell")

@@ -325,6 +325,22 @@ def test_a_malformed_risk_argument_is_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("m, message", [
+    (0, "m must be >= 1"),
+    (-1, "m must be >= 1"),
+    (True, "m must be an integer, not a bool"),
+    (2.5, "m must be an integer, got 2.5"),
+])
+def test_risk_curve_refuses_a_bad_m_before_it_trains(monkeypatch, m, message):
+    from celltree import risklab
+
+    builds, build = [], risklab.build_tree
+    monkeypatch.setattr(risklab, "build_tree", lambda *args: builds.append(args) or build(*args))
+    with pytest.raises(ValueError, match=message):
+        risk_curve("randomized", _D_LIN, [20], 1, m, 0)
+    assert builds == []
+
+
 def test_level_risk_requires_enough_points():
     dist = get_distribution("d-lin", d=2)
     with pytest.raises(ValueError):
