@@ -224,13 +224,17 @@ class DataView:
 
     Ascending index order is an invariant: it makes the strict (value, index)
     sort reproducible after a view is detached into a standalone dataset,
-    even with duplicate coordinates; ``indices`` is an owned read-only copy.
+    even with duplicate coordinates. ``indices`` is an owned read-only copy;
+    a non-empty index array of no integer dtype, a boolean mask say, is refused.
     """
 
     __slots__ = ("dataset", "indices")
 
     def __init__(self, dataset: Dataset, indices: np.ndarray):
-        indices = np.array(np.atleast_1d(indices), dtype=np.int64, order="C")
+        indices = np.atleast_1d(indices)
+        if indices.size and not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
+        indices = np.array(indices, dtype=np.int64, order="C")
         if indices.ndim != 1:
             raise ValueError("indices must be one-dimensional")
         if indices.size:
@@ -354,9 +358,10 @@ Node = Union[Leaf, Internal]
 
 def _assemble(generations: list) -> list[Node]:
     """The first generation's nodes, built bottom-up without recursion from
-    ``run_cells``' lists of cells, one per generation in frontier order. A
-    cell is a finished ``Leaf``, or a split's (splits, eaten, arity), whose
-    children are the next ``arity`` nodes built for the generation below."""
+    lists of cells, one per generation in frontier order: ``run_cells``'
+    records, or a cut table's (``_CutTable.nodes``). A cell is a finished
+    ``Leaf``, or a split's (splits, eaten, arity), whose children are the
+    next ``arity`` nodes built for the generation below."""
     built: list[Node] = []
     for cells in reversed(generations):
         below = iter(built)
@@ -496,8 +501,9 @@ def classify(tree: PartitionTree, x: Sequence[float]) -> int:
 
 @dataclass(frozen=True)
 class _CutTable:
-    """A tree's flat binary cut table: each node's 2^L - 1 heap-ordered cuts as
-    rows of their own, nodes in pre-order, row r's low and high targets at
+    """A tree's flat binary cut table in generation order: each generation's
+    nodes, left to right, take the next rows, 2^L - 1 heap-ordered cuts each,
+    and its leaves the next leaf numbers. Row r's low and high targets are
     ``child[2r]`` and ``child[2r + 1]``; a target t < 0 is leaf ~t, any other
     a node's first row b, whose ``arity`` children are the targets
     ``child[2b + w - 1 : 2(b + w)]``, w = arity - 1. ``eaten`` holds each
@@ -505,8 +511,9 @@ class _CutTable:
     ``root=``, which keeps its own nodes. ``root`` is the root's target;
     ``count0`` and ``count1`` (int64, or object where a count is beyond
     int64), their int8 ``labels`` (ties to 0) and ``depths`` describe the
-    leaves left to right, and ``leaves`` lists them as ``Leaf`` objects,
-    built on first use."""
+    leaves in that order, so depths never fall and a complete full tree's,
+    all in its last generation, are left to right; ``leaves`` lists them as
+    ``Leaf`` objects, built on first use."""
 
     d: int
     arity: int | None
@@ -525,20 +532,22 @@ class _CutTable:
         return [Leaf(c0, c1) for c0, c1 in zip(self.count0.tolist(), self.count1.tolist())]
 
     def nodes(self) -> Node:
-        """The root's node tree, built without recursion: a node's rows come
-        after its parent's, so building from the last row back finds every
-        child built."""
+        """The root's node tree: each generation's cells, read by following
+        the child targets of the generation above's nodes, handed to
+        ``_assemble``, the node builder ``run_cells`` uses too."""
         leaves = self.leaves
         if self.root < 0:
             return leaves[~self.root]
-        w = self.arity - 1
+        arity, w = self.arity, self.arity - 1
         cuts = list(zip(self.dim_of.tolist(), self.thr_of.tolist()))
-        eaten, child = self.eaten.tolist(), self.child.tolist()
-        built: dict[int, Node] = {}
-        for b in range(len(cuts) - w, -1, -w):
-            built[b] = Internal(tuple(cuts[b:b + w]), tuple(eaten[b:b + w]), tuple(
-                leaves[~t] if t < 0 else built.pop(t) for t in child[2 * b + w - 1:2 * (b + w)]))
-        return built[0]
+        eaten = self.eaten.tolist()
+        slots = self.child.reshape(-1, 2 * w)[:, w - 1:]  # each node's children, one row per node
+        generations, targets = [], np.array([self.root])
+        while targets.size:
+            generations.append([leaves[~t] if t < 0 else (tuple(cuts[t:t + w]), tuple(eaten[t:t + w]), arity)
+                                for t in targets.tolist()])
+            targets = slots[targets[targets >= 0] // w].ravel()
+        return _assemble(generations)[0]
 
     def leaf_of(self, X: np.ndarray) -> np.ndarray:
         """Each query row's leaf index (int64). All rows descend the table
@@ -600,53 +609,39 @@ def _cut_table(generations: list, d: int, arity: int | None) -> _CutTable:
     """The cut table of the tree whose generation records, root first, are
     ``generations``: each a ``_Generation``, or a list of per-cell records,
     turned into one here. The one table builder, vectorized one generation
-    at a time. A bottom-up pass counts the leaves and internal nodes under
-    each cell; a top-down pass gives each cell its pre-order row base, or
-    its leaf number, and so the child targets, leaf depths and count
-    columns. ``_check_node``'s numeric rules are checked on the columns."""
+    at a time: a generation's nodes and leaves take the next rows and leaf
+    numbers, at running offsets, and its cells' targets fill the last-level
+    child slots of the generation above's nodes, in order. ``_check_node``'s
+    numeric rules are checked on the columns."""
     gens = [g if isinstance(g, _Generation) else _Generation.of(g, arity) for g in generations]
     for gen in gens:
         _check_columns(gen, d)
     w = arity - 1 if arity else 0  # arity is None only in a tree with no split
-    # bottom-up: the leaves and internal nodes under each cell of each generation
-    under: list[tuple[np.ndarray, np.ndarray]] = []
-    leaves = internals = np.zeros(0, dtype=np.int64)
-    for gen in reversed(gens):
-        at = np.flatnonzero(gen.split)
-        kids_leaves, kids_internals = leaves.reshape(at.size, w + 1), internals.reshape(at.size, w + 1)
-        leaves, internals = np.ones(gen.split.size, dtype=np.int64), gen.split.astype(np.int64)
-        leaves[at] = kids_leaves.sum(axis=1)
-        internals[at] += kids_internals.sum(axis=1)
-        under.append((kids_leaves, kids_internals))
-    rows = w * int(internals[0])
+    rows = sum(gen.thrs.size for gen in gens)
     counts = object if any(object in (g.count0.dtype, g.count1.dtype) for g in gens) else np.int64
-    count0, count1 = np.empty(int(leaves[0]), dtype=counts), np.empty(int(leaves[0]), dtype=counts)
-    depths = np.empty(int(leaves[0]), dtype=np.int64)
+    count0, count1 = (np.concatenate([getattr(g, c) for g in gens]).astype(counts, copy=False)
+                      for c in ("count0", "count1"))
+    depths = np.repeat(np.arange(len(gens), dtype=np.int64), [g.count0.size for g in gens])
     dim_of = np.empty(rows, dtype=np.int64 if d < 2**63 else object)  # a wider d meets no query
     thr_of, eaten = np.empty(rows, dtype=np.float64), np.empty(rows, dtype=np.int64)
     child = np.empty(2 * rows, dtype=np.int64)
-    # top-down: the internal nodes and the leaves before each cell in pre-order
-    before = left = np.zeros(1, dtype=np.int64)
-    slots = None  # the child slots that the generation's targets fill
-    for depth, (gen, (kids_leaves, kids_internals)) in enumerate(zip(gens, reversed(under))):
-        at, stop = np.flatnonzero(gen.split), np.flatnonzero(~gen.split)
-        base = w * before[at]
+    row = leaf = 0  # the generation's first row and first leaf number
+    slots = None  # the generation above's last-level child slots, one row per node
+    for gen in gens:
+        nodes = np.count_nonzero(gen.split)
+        end, stop = row + w * nodes, leaf + gen.split.size - nodes
         targets = np.empty(gen.split.size, dtype=np.int64)
-        targets[at], targets[stop] = base, ~left[stop]
+        targets[gen.split], targets[~gen.split] = row + w * np.arange(nodes), ~np.arange(leaf, stop)
         if slots is None:
             root = int(targets[0])
         else:
-            child[slots] = targets
-        count0[left[stop]], count1[left[stop]], depths[left[stop]] = gen.count0, gen.count1, depth
-        if not at.size:
-            continue
-        cut_rows = (base[:, None] + np.arange(w)).ravel()
-        dim_of[cut_rows], thr_of[cut_rows], eaten[cut_rows] = gen.dims, gen.thrs, gen.eaten
+            slots[:] = targets.reshape(slots.shape)
+        dim_of[row:end], thr_of[row:end], eaten[row:end] = gen.dims, gen.thrs, gen.eaten
         # row h of a node leads to rows 2h + 1 and 2h + 2, its last level to the children
-        child[(2 * base[:, None] + np.arange(w - 1)).ravel()] = (base[:, None] + np.arange(1, w)).ravel()
-        slots = (2 * base[:, None] + np.arange(w - 1, 2 * w)).ravel()
-        left = (left[at, None] + np.cumsum(kids_leaves, axis=1) - kids_leaves).ravel()
-        before = (before[at, None] + 1 + np.cumsum(kids_internals, axis=1) - kids_internals).ravel()
+        block = child[2 * row:2 * end].reshape(nodes, 2 * w)
+        block[:, :w - 1] = np.arange(row, end).reshape(nodes, w)[:, 1:]
+        slots = block[:, w - 1:]
+        row, leaf = end, stop
     return _CutTable(
         d=d,
         arity=arity,
@@ -750,7 +745,7 @@ def validate_tree(tree: PartitionTree, n: int | None = None) -> TreeStats:
     stats = tree_stats(tree)
     if n is None and _is_int(tree.config.get("n")):
         n = tree.config["n"]
-    if n is not None and stats.leaf_points + stats.eaten != n:
+    if n is not None and stats.leaf_points + stats.eaten != _integer(n, "n"):
         raise TreeSchemaError(
             f"conservation violated: {stats.leaf_points} leaf points + "
             f"{stats.eaten} eaten != n={n}"

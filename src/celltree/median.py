@@ -308,6 +308,7 @@ def leaf_bounds(n: int, k: int, d: int) -> tuple[int, int]:
     Each cut loses one pivot and otherwise halves the cell, so cell size
     after i cuts sits between n / 2^i - 2 and n / 2^i. k = 0 is exact.
     """
+    n, k, d = _integer(n, "n"), _integer(k, "k"), _integer(d, "d")
     if n < 0 or k < 0 or d < 1:
         raise ValueError("need n >= 0, k >= 0, d >= 1")
     if k == 0:

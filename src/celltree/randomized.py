@@ -78,6 +78,7 @@ def decide_stop(n: int, u: float, beta: float) -> bool:
 
 def choose_dimension(d: int, rng: CellRng) -> int:
     """Uniform split dimension in [0, d) from the cell's stream."""
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError("d must be >= 1")
     return rng.randint(d)

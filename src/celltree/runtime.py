@@ -364,11 +364,12 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     """Each record's size and input hash checked against its own view, in
     record order. The first record whose indices ``DataView`` would refuse
     raises its ValueError."""
-    cast = [np.asarray(np.atleast_1d(r.view_indices), dtype=np.int64) for r in records]
-    flat_end = next((i for i, ix in enumerate(cast) if ix.ndim != 1), len(cast))
-    sizes = np.array([ix.size for ix in cast[:flat_end]], dtype=np.int64)
-    flat = np.concatenate(cast[:flat_end] + [np.empty(0, dtype=np.int64)])
-    del cast
+    given = [np.atleast_1d(r.view_indices) for r in records]
+    flat_end = next((i for i, ix in enumerate(given) if ix.ndim != 1
+                     or ix.size and not np.issubdtype(ix.dtype, np.integer)), len(given))
+    sizes = np.array([ix.size for ix in given[:flat_end]], dtype=np.int64)
+    flat = np.concatenate(given[:flat_end] + [np.empty(0, dtype=np.int64)], dtype=np.int64)
+    del given
     ends = np.cumsum(sizes)
     starts = ends - sizes
     ascending = np.ones(flat.size, dtype=bool)  # above the point before it, or first in its record

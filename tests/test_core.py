@@ -117,6 +117,16 @@ def test_view_requires_ascending_indices():
     assert v.label_counts() == (2, 0)
 
 
+def test_a_view_refuses_indices_of_no_integer_dtype():
+    # a boolean mask is no index list, and a float index is not truncated to one
+    ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0]))
+    for indices, dtype in ((np.array([False, True]), "bool"), (np.array([0.5, 1.7]), "float64")):
+        with pytest.raises(ValueError, match=f"indices must be integers, got dtype {dtype}"):
+            DataView(ds, indices)
+    assert DataView(ds, []).n == 0
+    assert DataView(ds, np.array([1, 2], dtype=np.uint8)).indices.tolist() == [1, 2]
+
+
 def test_view_detach_preserves_content_order():
     ds = Dataset(np.array([[3.0], [1.0], [2.0], [0.5]]), np.array([1, 0, 1, 0]))
     v = DataView(ds, np.array([0, 2, 3]))
@@ -458,6 +468,10 @@ def test_serialize_rejects_non_finite_config_values():
 def test_validate_tree_treats_a_boolean_n_as_unknown():
     tree = PartitionTree(root=Leaf(2, 3), d=1, mode="binary", config={"n": True})
     assert validate_tree(tree).leaf_points == 5
+    # an n passed in is read by the one integer rule
+    with pytest.raises(ValueError, match="n must be an integer, not a bool"):
+        validate_tree(tree, True)
+    assert validate_tree(tree, np.int64(5)).leaf_points == 5
     with pytest.raises(TreeSchemaError, match="conservation"):
         validate_tree(PartitionTree(root=Leaf(2, 3), d=1, mode="binary", config={"n": 1}))
 

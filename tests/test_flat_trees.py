@@ -31,6 +31,7 @@ from celltree import (
     tree_stats,
 )
 from celltree import core
+from celltree.lookahead import lookahead_decision
 
 
 def _data(n: int, d: int = 2, seed: int = 3) -> Dataset:
@@ -79,12 +80,21 @@ def test_a_read_tree_is_checked_once(monkeypatch):
 def test_a_tree_without_its_root_compares_replaces_and_prints_as_one_with_it(build):
     data = _data(3_000)
     if build == "lookahead":
-        tree = build_lookahead(data, LookaheadConfig(alpha=0.25, beta=0.2, d=2))
+        config = LookaheadConfig(alpha=0.25, beta=0.2, d=2)
+        tree, decide = build_lookahead(data, config), lookahead_decision(config)
     else:
-        tree = build_randomized(data, RandomizedConfig(beta=0.9, seed=2))
+        config = RandomizedConfig(beta=0.9, seed=2)
+        tree, decide = build_randomized(data, config), randomized_decision(config.beta)
         if build == "read":
             tree = deserialize_tree(serialize_tree(tree))
     assert "root" not in vars(tree)
+    # the table is in generation order, and its nodes are those of the per-cell build
+    assert (np.diff(tree._cuts.depths) >= 0).all()
+    node = run_cells(CellTask(data.full_view(), config.seed), decide)
+    if build == "read":  # the reader knows no pivots
+        assert serialize_tree(dataclasses.replace(tree, root=node)) == serialize_tree(tree)
+    else:
+        assert tree.root == node
     twin = PartitionTree(root=tree.root, d=tree.d, mode=tree.mode, config=tree.config)
     assert tree == twin and repr(tree) == repr(twin)
     assert dataclasses.replace(tree, config={}).config == {}

@@ -218,6 +218,11 @@ def test_leaf_bounds_examples():
         leaf_bounds(-1, 1, 1)
     with pytest.raises(ValueError):
         leaf_bounds(10, 1, 0)
+    for args, message in (((10, True, 1), "k must be an integer, not a bool"),
+                          ((10.0, 1, 1), "n must be an integer, got 10.0"),
+                          ((10, 1.5, 1), "k must be an integer, got 1.5")):
+        with pytest.raises(ValueError, match=message):
+            leaf_bounds(*args)
 
 
 @settings(max_examples=120, deadline=None)

@@ -111,6 +111,10 @@ def test_choose_dimension_deterministic():
     assert a == b
     with pytest.raises(ValueError):
         choose_dimension(0, CellRng(1))
+    with pytest.raises(ValueError, match="d must be an integer, not a bool"):
+        choose_dimension(True, CellRng(1))
+    with pytest.raises(ValueError, match="d must be an integer, got 2.0"):
+        choose_dimension(2.0, CellRng(1))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +494,8 @@ def test_a_worker_count_below_one_is_refused(workers):
     data = _differential_data(50, 1, False, 1)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         build_randomized(data, RandomizedConfig(beta=0.5), workers=workers)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        build_lookahead(data, LookaheadConfig(alpha=0.25, beta=0.2, d=1), workers=workers)
 
 
 def test_a_numpy_integer_worker_count_is_accepted():

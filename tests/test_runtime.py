@@ -431,8 +431,9 @@ def test_tampered_input_hashes_are_reported_in_record_order():
         (lambda ix: np.append(ix, 2_000), "index out of range"),
         (lambda ix: np.append(ix[1:], -1), "strictly ascending"),
         (lambda ix: ix.reshape(1, -1), "indices must be one-dimensional"),
+        (lambda ix: ix.astype(np.float64) + 0.25, "indices must be integers, got dtype float64"),
     ],
-    ids=["descending", "beyond-the-data", "negative", "two-dimensional"],
+    ids=["descending", "beyond-the-data", "negative", "two-dimensional", "float"],
 )
 def test_the_audit_refuses_the_view_indices_a_view_refuses(indices, message):
     import dataclasses

@@ -182,3 +182,7 @@ def test_a_cut_where_the_ids_are_the_ranks_selects_what_the_ranks_select(sizes):
     children = (np.maximum(kept[:, None] - (1, 0), 0) // 2).ravel()
     for m, row, wanted in zip(children.tolist(), got, want):
         assert np.array_equal(row[:m], wanted[:m])
+    # a matrix of empty rows only has no column to cut
+    empty, none = np.zeros((3, 0), dtype=np.int32), np.zeros(3, dtype=np.int64)
+    for got, want in zip(_cut_positions(empty, none), _cut_rows(empty, none, 0, table)):
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
