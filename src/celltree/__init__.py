@@ -45,7 +45,6 @@ from .median import (
     MedianSplit,
     build_full_tree,
     full_level_split,
-    full_tree_leaves,
     leaf_bounds,
     locate_leaf,
     median_split,

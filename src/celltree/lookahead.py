@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, DataView, Leaf, PartitionTree, _Generation, _integer
-from .median import _cut_order, _level, _row_ones, _rows, full_level_split
+from .median import _cut_order, _heap_dims, _level, _row_ones, _rows, full_level_split
 from .runtime import (
     BuildTrace,
     DecisionFn,
@@ -81,11 +81,7 @@ class LookaheadConfig:
 
 def empirical_error(view: DataView) -> float:
     """In-cell error of the majority vote: min(count0, count1) / n, 0 if empty."""
-    n = view.n
-    if n == 0:
-        return 0.0
-    c0, c1 = view.label_counts()
-    return min(c0, c1) / n
+    return _error([view.label_counts()], view.n)
 
 
 def k_plus(n: int, alpha: float) -> int:
@@ -198,10 +194,9 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
         ks = [k_plus(n, config.alpha) for n in ns]
         while len(levels) <= max(ks):
             top = levels[-1]
-            pivots, rows, sizes = _level(top[3], top[0], table, order is not None)
+            cuts, rows, sizes = _level(top[3], top[0], table, order is not None)
             if trace is None:
                 top[3] = None
-            cuts = np.concatenate([p.reshape(top[0].size, -1) for p in pivots], axis=1)
             levels.append([sizes, _row_ones(rows, sizes, ys), cuts, rows])
         counts = {k: _counts(*levels[k][:2]) for k in {0, *ks}}
         split = np.array([not _stops(counts[0][i:i + 1], counts[k][i << d * k:(i + 1) << d * k], n,
@@ -211,10 +206,10 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
         eaten = levels[0][2].ravel() if levels else sizes[:0]  # a split cell has a horizon
         if order is not None:
             eaten = order.take(eaten)
-        # each split's cut dimensions in heap order, 2^j cuts in dimension j;
-        # made only if a cell splits, which takes 2^d points or more
+        # each split's cut dimensions, made only if a cell splits, which
+        # takes 2^d points or more
         splits = int(split.sum())
-        dims = np.tile(np.repeat(np.arange(d), [1 << j for j in range(d)]), splits) if splits else eaten
+        dims = np.tile(_heap_dims(d), splits) if splits else eaten
         gen = _Generation(split, (sizes - ones)[~split], ones[~split], dims, data.xs[eaten, dims], eaten, arity)
         generations.append(gen)
         if trace is not None:

@@ -10,8 +10,8 @@ Every cut is made by ``_cut_rows`` over the rows of a padded matrix of point
 ids, one row per cell, or by ``_cut_positions`` where the ids are the ranks.
 The randomized builder cuts a generation with one call, each row in its own
 dimension. ``_level`` grows a full level under every row with one call per
-dimension, and ``full_level_split``, ``build_full_tree``,
-``full_tree_leaves`` and the lookahead probe use it.
+dimension, its cuts in heap order, and ``full_level_split``,
+``build_full_tree`` and the lookahead probe use it.
 ``median_split``, a one-row call that no build makes, is the per-cell
 reference. An empty row, a cell that a full level ran out of points for,
 reports pivot -1 and no cut record, and splits into two empty children.
@@ -143,14 +143,20 @@ def _views(cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> list[DataV
     return [DataView._trusted(dataset, row[:m].astype(np.int64)) for row, m in zip(cells, sizes.tolist())]
 
 
+def _heap_dims(d: int) -> np.ndarray:
+    """The dimension of each of a level's 2^d - 1 cuts in heap order: one
+    cut in dimension 0, then 2^j in dimension j."""
+    return np.repeat(np.arange(d), [1 << j for j in range(d)])
+
+
 def _level(cells: np.ndarray, sizes: np.ndarray, table: np.ndarray,
-           by_position: bool = False) -> tuple[list, np.ndarray, np.ndarray]:
+           by_position: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full level under every row: all rows cut in dimension 0, all
     their halves in dimension 1, and so on, each cut reading ``table`` as
     ``_cut_rows`` does. With ``by_position`` the ids are dimension 0's
     ranks, as storage ids are, and ``_cut_positions`` makes the dimension-0
-    cuts. Returns each dimension's pivots (row i's cuts in dimension j are
-    entries i * 2^j to (i + 1) * 2^j), then the 2^d children of every row in
+    cuts. Returns each row's 2^d - 1 pivots in heap order (``_heap_dims``),
+    -1 for an empty row's cut, then the 2^d children of every row in
     canonical order and their sizes."""
     pivots = []
     for dim in range(len(table)):
@@ -158,9 +164,9 @@ def _level(cells: np.ndarray, sizes: np.ndarray, table: np.ndarray,
             cut, cells = _cut_positions(cells, sizes)
         else:
             cut, cells = _cut_rows(cells, sizes, dim, table)
-        pivots.append(cut)
+        pivots.append(cut.reshape(-1, 1 << dim))  # row i's 2^dim cuts
         sizes = (np.maximum(sizes[:, None] - (1, 0), 0) // 2).reshape(-1)
-    return pivots, cells, sizes
+    return np.concatenate(pivots, axis=1), cells, sizes
 
 
 @dataclass(frozen=True)
@@ -214,28 +220,19 @@ class LevelSplit:
         return self.cuts  # type: ignore[return-value]
 
 
-def _splits(pivots: list, cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> tuple[LevelSplit, ...]:
+def _splits(pivots: np.ndarray, cells: np.ndarray, sizes: np.ndarray, dataset: Dataset) -> tuple[LevelSplit, ...]:
     """The LevelSplit of every row, from what ``_level`` returned for them."""
-    xs, arity = dataset.xs, 1 << dataset.d
+    xs, arity, dims = dataset.xs, 1 << dataset.d, _heap_dims(dataset.d).tolist()
     children = _views(cells, sizes, dataset)
-    splits = []
-    for i in range(pivots[0].size):
-        block = [(dim, p) for dim, cut in enumerate(pivots) for p in cut[i << dim:(i + 1) << dim].tolist()]
-        cuts = tuple((dim, float(xs[p, dim])) if p >= 0 else None for dim, p in block)
-        splits.append(LevelSplit(tuple(children[i * arity:(i + 1) * arity]), cuts,
-                                 tuple(p for _, p in block if p >= 0)))
-    return tuple(splits)
+    return tuple(LevelSplit(tuple(children[i * arity:(i + 1) * arity]),
+                            tuple((dim, float(xs[p, dim])) if p >= 0 else None for dim, p in zip(dims, row)),
+                            tuple(p for p in row if p >= 0))
+                 for i, row in enumerate(pivots.tolist()))
 
 
 def full_level_split(view: DataView) -> LevelSplit:
     """Median-cut the view once in every dimension, in dimension order."""
     return _splits(*_level(*_rows(view), view.dataset._rank_table), view.dataset)[0]
-
-
-def full_tree_leaves(view: DataView, k: int) -> tuple[list[DataView], int]:
-    """Leaf views of k stacked full levels, in canonical order, plus eaten count."""
-    tree = build_full_tree(view, k)
-    return list(tree.leaves), len(tree.eaten)
 
 
 @dataclass(frozen=True)

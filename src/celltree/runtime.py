@@ -155,18 +155,13 @@ def _split_fingerprint(cuts, sizes) -> str:
     return f"split:dims={dims}:thr={thrs}:sizes={','.join(map(str, sizes))}"
 
 
-def _input_hash(seed: int, xs, ys) -> str:
+def _input_hash(seed: int, xs: np.ndarray, ys: np.ndarray) -> str:
     """A cell's input hash: SHA-256 over its seed's 64 bits, then the bytes of
-    its points' float64 rows and int8 labels, C-ordered."""
+    its points' float64 rows and int8 labels, each a C-contiguous array."""
     h = hashlib.sha256(struct.pack("<Q", seed & _MASK64))
     h.update(xs)
     h.update(ys)
     return h.hexdigest()[:16]
-
-
-def _byte_view(array: np.ndarray) -> memoryview:
-    """The bytes of a C-contiguous array, sliceable without a copy."""
-    return memoryview(array.reshape(-1).view(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -219,8 +214,8 @@ def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, si
     real = np.arange(cells.shape[1]) < sizes[:, None]
     viewed = cells.reshape(-1).compress(real.reshape(-1)).astype(np.int64)
     viewed.flags.writeable = False
-    xs, ys = _byte_view(dataset.xs.take(viewed, axis=0)), _byte_view(dataset.ys.take(viewed))
-    row, arity, w = 8 * dataset.d, gen.arity, gen.arity - 1
+    xs, ys = dataset.xs.take(viewed, axis=0), dataset.ys.take(viewed)
+    arity, w = gen.arity, gen.arity - 1
     leaves = (f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
     cuts, kids = list(zip(gen.dims.tolist(), gen.thrs.tolist())), children.tolist()
     splits = (_split_fingerprint(cuts[s * w:(s + 1) * w], kids[s * arity:(s + 1) * arity])
@@ -228,7 +223,7 @@ def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, si
     ends = np.cumsum(sizes).tolist()
     trace.records += [
         TraceRecord(cell_id, parent_id, b - a, seed, next(splits) if split else next(leaves),
-                    _input_hash(seed, xs[a * row:b * row], ys[a:b]), viewed[a:b])
+                    _input_hash(seed, xs[a:b], ys[a:b]), viewed[a:b])
         for split, a, b, seed, cell_id, parent_id
         in zip(gen.split.tolist(), [0] + ends[:-1], ends, seeds, ids, parents)
     ]
@@ -381,17 +376,16 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
         DataView(dataset, records[bad].view_indices)  # raises the first refusal
     failures: list[str] = []
     starts, ends = starts.tolist(), ends.tolist()
-    row = 8 * dataset.d
     first = 0
     while first < len(records):
         last = max(bisect.bisect_right(ends, starts[first] + _AUDIT_BLOCK), first + 1)
         block = flat[starts[first]:ends[last - 1]]
-        xs, ys = _byte_view(dataset.xs[block]), _byte_view(dataset.ys[block])
+        xs, ys = dataset.xs[block], dataset.ys[block]
         for record, a, b in zip(records[first:last], starts[first:last], ends[first:last]):
             a, b = a - starts[first], b - starts[first]
             if record.n != b - a:
                 failures.append(f"{record.cell_id}: size mismatch")
-            if _input_hash(record.seed, xs[a * row:b * row], ys[a:b]) != record.input_hash:
+            if _input_hash(record.seed, xs[a:b], ys[a:b]) != record.input_hash:
                 failures.append(f"{record.cell_id}: input hash mismatch")
         first = last
     return failures

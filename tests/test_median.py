@@ -10,7 +10,6 @@ from celltree import (
     DataView,
     build_full_tree,
     full_level_split,
-    full_tree_leaves,
     leaf_bounds,
     locate_leaf,
     median_split,
@@ -184,7 +183,8 @@ def test_full_level_split_empty_view():
 
 def test_full_tree_leaf_sizes_d1_k2():
     ds = _dataset_1d([i / 10 for i in range(10)])
-    leaves, eaten = full_tree_leaves(ds.full_view(), 2)
+    tree = build_full_tree(ds.full_view(), 2)
+    leaves, eaten = tree.leaves, len(tree.eaten)
     assert [v.n for v in leaves] == [1, 2, 2, 2]
     assert eaten == 3
 
@@ -232,7 +232,7 @@ def test_leaf_sandwich_property(k, d, data):
     n = data.draw(st.integers(cells, 10 * cells))
     seed = data.draw(st.integers(0, 2**32 - 1))
     ds = make_dataset(np.random.default_rng(seed), n, d)
-    leaves, _ = full_tree_leaves(ds.full_view(), k)
+    leaves = build_full_tree(ds.full_view(), k).leaves
     lo, hi = leaf_bounds(n, k, d)
     sizes = [v.n for v in leaves]
     assert len(sizes) == cells
