@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 import os
 import stat
@@ -68,6 +69,17 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    """``value`` as the Python float that a rate or an exponent must be: any
+    real number becomes one; a bool or a value that is not a real number
+    raises ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not a bool")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _index_dtype(n: int) -> type:
@@ -575,7 +587,8 @@ def _node_generations(root: Node, d: int, arity: int | None) -> list[list]:
     in one pass without recursion, left first: the one walk of built nodes
     but ``route``'s. Pre-order keeps each depth's nodes in left-to-right
     order. Each node is checked by ``_check_node`` when reached, and a value
-    that is no node is refused. Pivots are recorded as unknown (-1)."""
+    that is no node, or an ``Internal`` field that is no tuple or list, is
+    refused. Pivots are recorded as unknown (-1)."""
     generations: list[list] = []
     stack: list[tuple[Node, int]] = [(root, 0)]
     while stack:
@@ -588,6 +601,10 @@ def _node_generations(root: Node, d: int, arity: int | None) -> list[list]:
             continue
         if not isinstance(node, Internal):
             raise TreeSchemaError(f"node must be a Leaf or an Internal, not {type(node).__name__}")
+        for name in ("splits", "eaten", "children"):
+            if not isinstance(getattr(node, name), (tuple, list)):
+                raise TreeSchemaError(f"internal node's {name} must be a tuple or a list, "
+                                      f"not {type(getattr(node, name)).__name__}")
         _check_node((node.splits, node.eaten, len(node.children)), d, arity)
         generations[depth].append((node.splits, (-1,) * len(node.eaten), arity))
         stack.extend((child, depth + 1) for child in reversed(node.children))
@@ -954,7 +971,7 @@ def _load_csv_fast(path) -> Dataset | None:
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None  # a pipe or a device, read once by the row parser
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if not _plain_bytes(fh.buffer):
                 return None
             fh.seek(0)
@@ -983,7 +1000,7 @@ def _load_csv_fast(path) -> Dataset | None:
 
 def _load_csv_rows(path) -> Dataset:
     """The row parser: defines the CSV format and reports every error."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             rows = [(i + 1, row) for i, row in enumerate(reader) if row]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DataView, Leaf, PartitionTree, _Generation, _integer
+from .core import Dataset, DataView, Leaf, PartitionTree, _Generation, _integer, _real
 from .median import _cut_order, _heap_dims, _level, _row_ones, _rows, full_level_split
 from .runtime import (
     BuildTrace,
@@ -49,9 +49,10 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class LookaheadConfig:
-    """The lookahead rule's parameters. ``d`` and the seed are kept as Python
-    ints: a numpy integer is converted, and a bool or a non-integer raises
-    ValueError."""
+    """The lookahead rule's parameters. ``alpha`` and ``beta`` are kept as
+    Python floats, ``d`` and the seed as Python ints: a numpy number is
+    converted. A bool or a value of the wrong kind raises ValueError, as
+    AdmissibilityError for ``alpha`` and ``beta``."""
 
     alpha: float
     beta: float
@@ -62,6 +63,11 @@ class LookaheadConfig:
         object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        try:
+            object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+            object.__setattr__(self, "beta", _real(self.beta, "beta"))
+        except ValueError as exc:
+            raise AdmissibilityError(str(exc)) from None
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise AdmissibilityError(
                 f"alpha and beta must be finite, got alpha={self.alpha}, beta={self.beta}"

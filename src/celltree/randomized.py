@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Leaf, PartitionTree, _Generation, _integer, classify, majority_label
+from .core import Dataset, Leaf, PartitionTree, _Generation, _integer, _real, classify, majority_label
 from .median import _cut_order, _cut_rows, _row_ones, _rows, median_split
 from .runtime import (
     _GOLDEN,
@@ -46,13 +46,15 @@ from .runtime import (
 class RandomizedConfig:
     """beta in (0, 1) shapes the stop probability; seed drives all draws.
 
-    The seed is kept as a Python int: a numpy integer is converted, and a
-    bool or a non-integer raises ValueError."""
+    beta is kept as a Python float and the seed as a Python int: a numpy
+    number is converted, and a bool or a value of the wrong kind raises
+    ValueError."""
 
     beta: float
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", _real(self.beta, "beta"))
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))

@@ -135,7 +135,9 @@ def empirical_risk(
     predicted ``_RISK_CHUNK_ROWS`` rows at a time, so memory stays bounded
     for any m: Y's uniforms come from a second generator on the same seed,
     advanced past X's m * d draws, and the errors are counted as an integer.
-    Standard error is the binomial sqrt(p(1-p)/m) of the estimate itself.
+    ``predict`` must return one 0/1 value per row it is given, else
+    ValueError. Standard error is the binomial sqrt(p(1-p)/m) of the
+    estimate itself.
     ``seed`` must be >= 0, as ``PCG64`` takes it.
     """
     if _integer(m, "m") < 1:
@@ -146,7 +148,11 @@ def empirical_risk(
     for start in range(0, m, _RISK_CHUNK_ROWS):
         X = x_rng.random((min(_RISK_CHUNK_ROWS, m - start), dist.d))
         Y = (y_rng.random(len(X)) < dist.eta(X)).astype(np.int8)
-        errors += int(np.count_nonzero(np.asarray(predict(X), dtype=np.int8) != Y))
+        predicted = np.asarray(predict(X))
+        if predicted.shape != Y.shape or not ((predicted == 0) | (predicted == 1)).all():
+            raise ValueError(f"a predictor must return a ({len(X)},) array of 0/1 values, "
+                             f"got {predicted.dtype} values of shape {predicted.shape}")
+        errors += int(np.count_nonzero(predicted != Y))
     p_hat = errors / m
     return RiskEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / m), m)
 
@@ -290,9 +296,10 @@ def risk_curve(
     if algo == "lookahead":
         if alpha is None:
             raise ValueError("lookahead needs alpha")
-        LookaheadConfig(alpha=alpha, beta=beta, d=dist.d)  # admissibility check up front
+        config = LookaheadConfig(alpha=alpha, beta=beta, d=dist.d)  # admissibility check up front
+        alpha, beta = config.alpha, config.beta
     else:
-        RandomizedConfig(beta=beta)  # beta range check up front
+        beta = RandomizedConfig(beta=beta).beta  # beta range check up front
     rows: list[RiskRow] = []
     aggregates: list[RiskRow] = []
     for i, n in enumerate(n_grid):

@@ -211,6 +211,20 @@ def test_an_open_descriptor_is_read_by_the_row_parser(tmp_path):
     assert load_csv(os.open(p, os.O_RDONLY)).xs.tolist() == [[0.5]]  # open() closes it
 
 
+@pytest.mark.parametrize("text", [
+    "0.1,0.2,0\n0.7,0.3,1\n0.4,0.9,0\n",
+    '"0.1","0.2","0"\n"0.7","0.3","1"\n',
+    "x1,x2,y\n0.1,0.2,0\n0.7,0.3,1\n",
+    '"x1","x2","y"\n"0.1","0.2","0"\n',
+])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for read in (load_csv, _load_csv_rows):
+        assert outcome(read, marked) == outcome(read, plain)
+
+
 LIMIT = csv.field_size_limit()
 
 

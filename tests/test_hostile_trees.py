@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from celltree import (
@@ -173,6 +173,9 @@ def _full_tree() -> PartitionTree:
 _NOT_NODES = [7, None, "leaf", np.int64(3), np.float64(0.5), (((0, 0.5),), (-1,), 2),
               [Leaf(1, 0), Leaf(0, 1)]]
 _NOT_CUTS = [(0.5,), (0, 0.5, 1), 0.5]
+# makers of an Internal's splits, eaten or children that is no tuple or list,
+# from the field's own value
+_NOT_FIELDS = [lambda value: None, lambda value: 3, lambda value: 5, iter]
 
 
 def _slots(node, path=()):
@@ -194,12 +197,21 @@ def _replaced(node, path, change):
 
 @st.composite
 def _hand_built(draw) -> tuple[PartitionTree, bool]:
-    """A hand-built tree with one slot or one cut replaced, and whether the
-    result breaks the node rule: a cut written as a list pair is still valid."""
+    """A hand-built tree with one slot, one cut or one Internal field
+    replaced, and whether the result breaks the node rule: a cut written as a
+    list pair is still valid."""
     tree = draw(st.sampled_from([_binary_tree(), _full_tree()]))
     path = draw(st.sampled_from(list(_slots(tree.root))))
     target = functools.reduce(lambda node, j: node.children[j], path, tree.root)
-    if isinstance(target, Internal) and draw(st.booleans()):
+    kind = draw(st.sampled_from(["cut", "field", "node"])) if isinstance(target, Internal) else "node"
+    if kind == "field":
+        name = draw(st.sampled_from(["splits", "eaten", "children"]))
+        make = draw(st.sampled_from(_NOT_FIELDS))
+
+        def change(node):
+            return dataclasses.replace(node, **{name: make(getattr(node, name))})
+        hostile = True
+    elif kind == "cut":
         at = draw(st.integers(0, len(target.splits) - 1))
         cut = draw(st.sampled_from(_NOT_CUTS + [list(target.splits[at])]))
 
@@ -217,6 +229,8 @@ def _hand_built(draw) -> tuple[PartitionTree, bool]:
 
 @settings(max_examples=150, deadline=None)
 @given(case=_hand_built())
+@example(case=(PartitionTree(Internal(((0, 0.5),), (-1,), None), 1, "binary", {}), True))
+@example(case=(PartitionTree(Internal(None, (-1,), (Leaf(1, 0), Leaf(0, 1))), 1, "binary", {}), True))
 def test_every_reader_of_a_hand_built_tree_refuses_a_broken_node(case):
     tree, hostile = case
     if not hostile:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -518,3 +520,21 @@ def test_a_numpy_integer_seed_builds_as_the_python_int(rng):
 def test_a_seed_that_is_no_integer_is_refused(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         LookaheadConfig(alpha=0.25, beta=0.2, d=2, seed=seed)
+
+
+def test_numpy_or_rational_alpha_and_beta_build_as_python_floats(rng):
+    data = make_dataset(rng, 300, 2)
+    doc = serialize_tree(build_lookahead(data, LookaheadConfig(alpha=0.1, beta=0.2, d=2)))
+    for alpha, beta in ((Fraction(1, 10), 0.2), (np.float64(0.1), np.float64(0.2)), (0.1, Fraction(1, 5))):
+        config = LookaheadConfig(alpha=alpha, beta=beta, d=2)
+        assert (type(config.alpha), type(config.beta)) == (float, float)
+        assert serialize_tree(build_lookahead(data, config)) == doc
+
+
+@pytest.mark.parametrize("name", ("alpha", "beta"))
+@pytest.mark.parametrize("value", (Decimal("0.1"), True, np.True_, "0.1", None))
+def test_an_alpha_or_beta_that_is_no_real_number_is_refused(name, value):
+    given = dict(alpha=0.1, beta=0.2, d=2)
+    given[name] = value
+    with pytest.raises(AdmissibilityError, match=f"{name} must be a real number"):
+        LookaheadConfig(**given)

@@ -1,5 +1,7 @@
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -478,6 +480,21 @@ def test_a_numpy_integer_seed_builds_as_the_python_int():
 def test_a_seed_that_is_no_integer_is_refused(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         RandomizedConfig(beta=0.5, seed=seed)
+
+
+def test_a_numpy_or_rational_beta_builds_as_the_python_float():
+    data = _differential_data(500, 2, True, 2)
+    for beta in (np.float32(0.5), np.float64(0.3), Fraction(3, 10), 0.75):
+        config = RandomizedConfig(beta=beta, seed=4)
+        assert type(config.beta) is float and config.beta == float(beta)
+        reference = RandomizedConfig(beta=float(beta), seed=4)
+        assert serialize_tree(build_randomized(data, config)) == serialize_tree(build_randomized(data, reference))
+
+
+@pytest.mark.parametrize("beta", (Decimal("0.5"), True, np.True_, "0.5", None, 0.5j))
+def test_a_beta_that_is_no_real_number_is_refused(beta):
+    with pytest.raises(ValueError, match="beta must be a real number"):
+        RandomizedConfig(beta=beta)
 
 
 @pytest.mark.parametrize("workers", (1.5, True, np.True_, "2"))

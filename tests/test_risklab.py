@@ -173,6 +173,28 @@ def test_empirical_risk_refuses_a_negative_seed(seed):
         empirical_risk(constant_predictor(0), dist, m=10, seed=seed)
 
 
+@pytest.mark.parametrize("predict", [
+    lambda X: np.zeros((len(X), 1), dtype=np.int8),  # a column would broadcast against the labels
+    lambda X: np.zeros(len(X) + 1, dtype=np.int8),
+    lambda X: np.int8(0),
+    lambda X: np.full(len(X), 257),  # an int8 cast would read it as 1
+    lambda X: np.full(len(X), 0.9),  # an int8 cast would read it as 0
+    lambda X: np.full(len(X), -1),
+])
+def test_empirical_risk_refuses_predictions_that_are_not_one_0_1_value_per_row(predict):
+    dist = get_distribution("d-lin", d=1)
+    with pytest.raises(ValueError, match=r"a predictor must return a \(1000,\) array of 0/1 values"):
+        empirical_risk(predict, dist, m=1_000, seed=5)
+
+
+def test_empirical_risk_takes_bool_and_float_0_1_predictions():
+    dist = get_distribution("d-lin", d=1)
+    tree = build_randomized(dist.sample(300, 3), RandomizedConfig(beta=0.5, seed=3))
+    want = empirical_risk(tree_predictor(tree), dist, m=1_000, seed=5)
+    for kind in (bool, np.float64):
+        assert empirical_risk(lambda X: tree_predictor(tree)(X).astype(kind), dist, m=1_000, seed=5) == want
+
+
 @pytest.mark.parametrize("seed", (-1, -(2**63)))
 def test_sampling_refuses_a_negative_seed(seed):
     dist = get_distribution("d-lin", d=1)
@@ -455,6 +477,20 @@ def test_write_risk_csv(tmp_path):
     assert by_name["algorithm"] == "randomized"
     assert by_name["alpha"] == ""  # not applicable to the randomized rule
     assert float(by_name["mean_risk"]) == curve.rows[0].mean_risk
+
+
+def test_risk_curve_rows_carry_the_configs_floats(tmp_path):
+    dist = get_distribution("d-lin", d=1)
+    cases = (("randomized", None, np.float64(0.5), ""), ("lookahead", np.float64(0.25), np.float32(0.25), "0.25"))
+    for algo, alpha, beta, alpha_cell in cases:
+        curve = risk_curve(algo, dist, n_grid=(50,), reps=1, m=200, seed=42, alpha=alpha, beta=beta)
+        for row in curve.rows:
+            assert type(row.beta) is float and (alpha is None or type(row.alpha) is float)
+        out = tmp_path / "curve.csv"
+        write_risk_csv(curve, out)
+        with open(out, newline="") as fh:
+            cells = {(row["alpha"], row["beta"]) for row in csv.DictReader(fh)}
+        assert cells == {(alpha_cell, repr(float(beta)))}
 
 
 def test_build_tree_dispatches_to_each_builder():
