@@ -601,10 +601,9 @@ def _node_generations(root: Node, d: int, arity: int | None) -> list[list]:
             continue
         if not isinstance(node, Internal):
             raise TreeSchemaError(f"node must be a Leaf or an Internal, not {type(node).__name__}")
-        for name in ("splits", "eaten", "children"):
-            if not isinstance(getattr(node, name), (tuple, list)):
-                raise TreeSchemaError(f"internal node's {name} must be a tuple or a list, "
-                                      f"not {type(getattr(node, name)).__name__}")
+        for name, value in (("splits", node.splits), ("eaten", node.eaten), ("children", node.children)):
+            if not isinstance(value, (tuple, list)):
+                raise TreeSchemaError(f"internal node's {name} must be a tuple or a list, not {type(value).__name__}")
         _check_node((node.splits, node.eaten, len(node.children)), d, arity)
         generations[depth].append((node.splits, (-1,) * len(node.eaten), arity))
         stack.extend((child, depth + 1) for child in reversed(node.children))
