@@ -225,12 +225,8 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
             return generations
 
 
-def build_lookahead(
-    data: Dataset,
-    config: LookaheadConfig,
-    workers: int = 1,
-    trace: BuildTrace | None = None,
-) -> PartitionTree:
+def build_lookahead(data: Dataset, config: LookaheadConfig, workers: int = 1,
+                    trace: BuildTrace | None = None) -> PartitionTree:
     """Decide the tree from the root in ``_generations``. ``workers`` is
     checked as ``run_cells`` checks it, and changes nothing."""
     if config.d != data.d:
@@ -238,9 +234,4 @@ def build_lookahead(
     if _integer(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
     return PartitionTree._of_generations(_generations(data, config, trace), data.d, "full", {
-        "algo": "lookahead",
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "seed": config.seed,
-        "n": data.n,
-    })
+        "algo": "lookahead", "alpha": config.alpha, "beta": config.beta, "seed": config.seed, "n": data.n})

@@ -8,10 +8,10 @@ degenerate the coordinates are.
 
 Every cut is made by ``_cut_rows`` over the rows of a padded matrix of point
 ids, one row per cell, or by ``_cut_positions`` where the ids are the ranks.
-The randomized builder cuts a generation with one call, each row in its own
-dimension. ``_level`` grows a full level under every row with one call per
-dimension, its cuts in heap order, and ``full_level_split``,
-``build_full_tree`` and the lookahead probe use it.
+Each call cuts in one dimension: the randomized builder cuts a generation
+with one call per dimension its cells drew, and ``_level`` grows a full
+level under every row with one call per dimension, its cuts in heap order;
+``full_level_split``, ``build_full_tree`` and the lookahead probe use it.
 ``median_split``, a one-row call that no build makes, is the per-cell
 reference. An empty row, a cell that a full level ran out of points for,
 reports pivot -1 and no cut record, and splits into two empty children.
@@ -34,12 +34,11 @@ dataset's storage order, the points sorted by dimension-0 rank
 (``Dataset._storage``): a cell's points then sit at nearby ids, so the rank
 gathers read memory nearly in order, and each generation maps its pivots
 back to dataset indices through the order. Storage ids are dimension 0's
-ranks, so the lookahead kernel's dimension-0 cuts are ``_cut_positions``,
-which takes a row's r-th id as its pivot without reading a rank.
-The randomized kernel cuts every row in its own dimension with one gather,
-so it reads row 0 of the table like any other. Traced builds, whose records
-name dataset indices, and the per-cell reference cut in dataset order
-(``Dataset._rank_table``).
+ranks, so both kernels' dimension-0 cuts are ``_cut_positions``, which
+takes a row's r-th id as its pivot without reading a rank, and only their
+other dimensions' cuts read the table. Traced builds, whose records name
+dataset indices, and the per-cell reference cut in dataset order
+(``Dataset._rank_table``), every dimension through ``_cut_rows``.
 """
 from __future__ import annotations
 
@@ -55,11 +54,11 @@ from .core import Dataset, DataView, Leaf, PartitionTree, _CutTable, _index_dtyp
 from .core import strict_rank  # noqa: F401
 
 
-def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cut_rows(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Median-cut every row of ``cells``, row i holding ``kept[i]`` point
-    ids ascending before its filler, in dimension ``cut``: one int for every
-    row, or an array of one per row. Returns the pivots, -1 for an empty
-    row, and the next matrix: each row's low child, then its high child.
+    ids ascending before its filler, in dimension ``dim``. Returns the
+    pivots, -1 for an empty row, and the next matrix: each row's low child,
+    then its high child.
     ``table[dim]`` holds dimension dim's ranks in the order the ids number
     points in: ``table`` is ``Dataset._rank_table`` for dataset indices, or
     the storage table of ``Dataset._storage`` for storage ids.
@@ -76,10 +75,7 @@ def _cut_rows(cells: np.ndarray, kept: np.ndarray, cut, table: np.ndarray) -> tu
     if not width:  # only empty rows
         return np.full(rows, -1, dtype=cells.dtype), np.empty((2 * rows, 0), dtype=cells.dtype)
     n, rank = table.shape[1], (width + 1) // 2
-    if np.ndim(cut):  # the flat index dim * n + id reaches d * n, beyond int32 before the ids do
-        rk = table.reshape(-1).take((cut * n).astype(_index_dtype(table.size))[:, None] + cells)
-    else:
-        rk = table[cut].take(cells)
+    rk = table[dim].take(cells)
     least = int(kept.min())
     if least < width:  # row i's filler: rank c - W in column c up to column R + kept[i] // 2, then n
         cols = np.arange(least, width)

@@ -12,9 +12,9 @@ reference that the tests and ``audit_autonomy``'s replays run. A build,
 traced or not, decides the whole tree from the root a generation at a time
 instead (``_generations``, shaped as ``lookahead._generations``), with the
 same draws, records and trace: a generation's cells are the rows of one
-padded matrix of point ids, which ``median._cut_rows`` cuts with one call,
-each row in its own dimension. No cell is sorted, and the matrix holds
-about n + cells ids.
+padded matrix of point ids, cut a dimension at a time (``_cut``), each
+dimension's rows with one kernel call. No cell is sorted, and the matrix
+holds about n + cells ids.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Leaf, PartitionTree, _Generation, _integer, _real, classify, majority_label
-from .median import _cut_order, _cut_rows, _row_ones, _rows, median_split
+from .median import _cut_order, _cut_positions, _cut_rows, _row_ones, _rows, median_split
 from .runtime import (
     _GOLDEN,
     _MASK64,
@@ -126,6 +126,35 @@ def _draws(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, ((high * k + ((low * k) >> 32)) >> 32).astype(np.int64)
 
 
+def _cut_in(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray, by_position: bool):
+    """``median._level``'s rule: cut by position in dimension 0 where the ids
+    are its ranks (``by_position``, as storage ids are), by rank otherwise."""
+    return _cut_positions(cells, kept) if by_position and not dim else _cut_rows(cells, kept, dim, table)
+
+
+def _cut(cells: np.ndarray, sizes: np.ndarray, split: np.ndarray, dims: np.ndarray, table: np.ndarray,
+         by_position: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Median-cut the rows that ``split`` marks, row i in dimension
+    ``dims[i]``, with one ``_cut_in`` call per dimension drawn. Returns the
+    cut rows' pivots and next matrix in row order, as one call over them
+    would."""
+    kept, cut = sizes[split], dims[split]
+    if kept.size < sizes.size:  # the widest splitting cell sets the width
+        cells = cells[:, :kept.max()]
+    drawn = np.flatnonzero(np.bincount(cut, minlength=len(table))).tolist()
+    if len(drawn) == 1:  # one call over the cut rows, in order: nothing to write back
+        return _cut_in(cells if kept.size == sizes.size else cells.compress(split, axis=0), kept, drawn[0],
+                       table, by_position)
+    pivots = np.empty(kept.size, dtype=cells.dtype)
+    nxt = np.empty((kept.size, 2, cells.shape[1] // 2), dtype=cells.dtype)
+    for dim in drawn:
+        group = cut == dim
+        pivots[group], children = _cut_in(cells.compress(split & (dims == dim), axis=0), kept[group], dim,
+                                          table, by_position)
+        nxt[group] = children.reshape(-1, 2, nxt.shape[2])
+    return pivots, nxt.reshape(2 * kept.size, -1)
+
+
 def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | None) -> list[_Generation]:
     """Decide the tree from the root a generation at a time, each in a few
     numpy passes, and return its records as ``core._Generation`` columns,
@@ -135,12 +164,14 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
     order, each row its cell's point ids ascending before filler slots, told
     apart by column, not by id. The matrix is as wide as the widest splitting
     cell, and a generation's cell sizes differ by at most one, so it holds
-    about n + cells ids. Rows that stop leave by ``compress(axis=0)``, their
-    label counts summed over real slots only; ``_cut_rows`` cuts the rest.
-    Draws and stop rule are ``randomized_decision``'s, so every record and
-    ``TraceRecord`` is the one ``run_cells`` gives cell by cell. Untraced,
-    the ids are storage ids (``median._cut_order``), and each generation's
-    pivots are mapped back to dataset indices.
+    about n + cells ids. Rows that stop leave, their label counts summed
+    over real slots only; ``_cut`` cuts the rest, the rows of each drawn
+    dimension with one call, and writes their children back in frontier
+    order. Draws and stop rule are ``randomized_decision``'s, so every
+    record and ``TraceRecord`` is the one ``run_cells`` gives cell by cell.
+    Untraced, the ids are storage ids (``median._cut_order``), so the
+    dimension-0 rows are cut by position, and each generation's pivots are
+    mapped back to dataset indices.
     """
     d, xs = data.d, data.xs
     order, table, ys = _cut_order(data, trace is not None)
@@ -160,9 +191,7 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
         ones = _row_ones(cells.compress(stop, axis=0), stopped, ys) if stopped.size else stopped
         pivots = np.empty(0, dtype=cells.dtype)
         if kept.size:
-            if stopped.size:  # the widest splitting cell sets the width
-                cells = cells[:, :kept.max()].compress(split, axis=0)
-            pivots, cells = _cut_rows(cells, kept, cut, table)
+            pivots, cells = _cut(cells, sizes, split, dims, table, order is not None)
             if order is not None:
                 pivots = order.take(pivots)
         gen = _Generation(split, stopped - ones, ones, cut, xs[pivots, cut], pivots, 2)
@@ -176,31 +205,18 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
         sizes, seeds = children, _child_seeds(seeds[split], 2)
 
 
-def build_randomized(
-    data: Dataset,
-    config: RandomizedConfig,
-    workers: int = 1,
-    trace: BuildTrace | None = None,
-) -> PartitionTree:
+def build_randomized(data: Dataset, config: RandomizedConfig, workers: int = 1,
+                     trace: BuildTrace | None = None) -> PartitionTree:
     """Decide the tree from the root in ``_generations``. Builds run in one
     thread: ``workers`` is checked to be an integer >= 1, as ``run_cells``
     checks it, and changes nothing."""
     if _integer(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
     return PartitionTree._of_generations(_generations(data, config, trace), data.d, "binary", {
-        "algo": "randomized",
-        "beta": config.beta,
-        "seed": config.seed,
-        "n": data.n,
-    })
+        "algo": "randomized", "beta": config.beta, "seed": config.seed, "n": data.n})
 
 
-def build_ensemble(
-    data: Dataset,
-    config: RandomizedConfig,
-    t: int,
-    workers: int = 1,
-) -> list[PartitionTree]:
+def build_ensemble(data: Dataset, config: RandomizedConfig, t: int, workers: int = 1) -> list[PartitionTree]:
     """t independent trees; member i runs on seed derived from (seed, i).
     ``t`` is read as seeds are: a bool or a non-integer raises ValueError."""
     t = _integer(t, "t")

@@ -346,7 +346,7 @@ def test_median_split_matches_the_index_select_reference(d, n, grid, seed):
 def test_cut_rows_cuts_uneven_rows_as_median_split():
     # rows of 0, 1, 2, 3 and 500 points padded to 500 columns, so most of
     # the matrix's slots are filler; each row must come out as median_split
-    # cuts its own view, with one dimension for every row and with one per row
+    # cuts its own view, in either dimension
     from celltree.median import _cut_rows
 
     rng = np.random.default_rng(17)
@@ -357,11 +357,11 @@ def test_cut_rows_cuts_uneven_rows_as_median_split():
     matrix = np.zeros((5, 500), dtype=np.int32)  # filler id 0
     for row, c in zip(matrix, cells):
         row[:c.size] = c
-    for cut in (1, np.array([0, 1, 1, 0, 1])):
+    for cut in (0, 1):
         pivots, children = _cut_rows(matrix, sizes, cut, ds._rank_table)
         assert pivots[0] == -1
         for i, c in enumerate(cells[1:], start=1):
-            split = median_split(DataView(ds, c), int(np.broadcast_to(cut, 5)[i]))
+            split = median_split(DataView(ds, c), cut)
             assert pivots[i] == split.pivot_index
             assert np.array_equal(children[2 * i, :split.low.n], split.low.indices)
             assert np.array_equal(children[2 * i + 1, :split.high.n], split.high.indices)

@@ -434,6 +434,58 @@ def test_wide_gather_indices_give_the_same_build(monkeypatch):
     assert wide.lines() == narrow.lines()
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_an_untraced_build_cuts_dimension_0_by_position(monkeypatch, d):
+    # storage ids are dimension 0's ranks: an untraced build cuts its
+    # dimension-0 rows by position and sends the rank kernel one dimension a
+    # call; a traced build, whose ids are dataset indices, sends it dimension
+    # 0 too, and both give the same document
+    from celltree import median, randomized
+
+    data = _differential_data(3_000, d, True, 9 + d)
+    config = RandomizedConfig(beta=0.99, seed=11)
+    dims: list = []
+    for module in (median, randomized):
+        def recorded(cells, kept, dim, table, cut_rows=module._cut_rows):
+            dims.append(dim)
+            return cut_rows(cells, kept, dim, table)
+
+        monkeypatch.setattr(module, "_cut_rows", recorded)
+    untraced = serialize_tree(build_randomized(data, config))
+    assert all(np.ndim(dim) == 0 and 0 < dim < d for dim in dims)
+    assert len(dims) > 5 or d == 1
+    dims.clear()
+    traced = BuildTrace()
+    assert serialize_tree(build_randomized(data, config, trace=traced)) == untraced
+    assert all(np.ndim(dim) == 0 for dim in dims) and 0 in dims and len(traced.records) > 100
+
+
+@pytest.mark.parametrize("by_position", (False, True))
+def test_a_generation_cut_a_dimension_at_a_time_is_each_row_cut_on_its_own(by_position):
+    # rows of 0 to 500 points, some not splitting, each in its own
+    # dimension: every cut row's pivot and children are those of a one-row
+    # _cut_rows call, in row order
+    from celltree.median import _cut_rows
+    from celltree.randomized import _cut
+
+    data = _differential_data(1_506, 3, True, 6)
+    table = data._storage[1] if by_position else data._rank_table
+    sizes = np.array([0, 1, 2, 3, 500, 499, 500, 1])
+    cells = np.split(np.random.default_rng(8).permutation(1_506), np.cumsum(sizes)[:-1])
+    matrix = np.zeros((8, 500), dtype=np.int32)  # filler id 0
+    for row, c in zip(matrix, cells):
+        row[:c.size] = np.sort(c)
+    split = sizes >= 3
+    dims = np.array([1, 0, 2, 0, 1, 2, 0, 1])
+    pivots, children = _cut(matrix, sizes, split, dims, table, by_position)
+    assert pivots.shape == (4,) and children.shape[0] == 8
+    for i, at in enumerate(np.flatnonzero(split).tolist()):
+        want_pivot, want = _cut_rows(matrix[at:at + 1], sizes[at:at + 1], int(dims[at]), table)
+        assert pivots[i] == want_pivot[0]
+        for got, wanted, m in zip(children[2 * i:2 * i + 2], want, ((sizes[at] - 1) // 2, sizes[at] // 2)):
+            assert np.array_equal(got[:m], wanted[:m])
+
+
 @pytest.mark.parametrize("algo", ("randomized", "lookahead"))
 def test_a_build_neither_sorts_nor_splits_cell_by_cell(monkeypatch, algo):
     from celltree import median, randomized
