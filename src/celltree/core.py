@@ -73,13 +73,16 @@ def _integer(value, name: str) -> int:
 
 def _real(value, name: str) -> float:
     """``value`` as the Python float that a rate or an exponent must be: any
-    real number becomes one; a bool or a value that is not a real number
-    raises ValueError."""
+    real number within the float range becomes one; a bool, a value that is
+    not a real number or one beyond the float range raises ValueError."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, not a bool")
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or a fraction too large for a float
+        raise ValueError(f"{name} must be a real number within the float range") from None
 
 
 def _index_dtype(n: int) -> type:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, _integer, predict_batch, route_depths
+from .core import Dataset, PartitionTree, _integer, _real, predict_batch, route_depths
 from .lookahead import LookaheadConfig, build_lookahead
 from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
@@ -298,8 +298,9 @@ def risk_curve(
             raise ValueError("lookahead needs alpha")
         config = LookaheadConfig(alpha=alpha, beta=beta, d=dist.d)  # admissibility check up front
         alpha, beta = config.alpha, config.beta
-    else:
+    else:  # no config reads alpha, which the row still carries
         beta = RandomizedConfig(beta=beta).beta  # beta range check up front
+        alpha = alpha if alpha is None else _real(alpha, "alpha")
     rows: list[RiskRow] = []
     aggregates: list[RiskRow] = []
     for i, n in enumerate(n_grid):

@@ -532,6 +532,15 @@ def test_numpy_or_rational_alpha_and_beta_build_as_python_floats(rng):
 
 
 @pytest.mark.parametrize("name", ("alpha", "beta"))
+@pytest.mark.parametrize("value", (10**400, -10**400, Fraction(10**400, 3)), ids=("1e400", "-1e400", "1e400/3"))
+def test_an_alpha_or_beta_beyond_the_float_range_is_refused(name, value):
+    given = dict(alpha=0.1, beta=0.2, d=2)
+    given[name] = value
+    with pytest.raises(AdmissibilityError, match=f"{name} must be a real number within the float range"):
+        LookaheadConfig(**given)
+
+
+@pytest.mark.parametrize("name", ("alpha", "beta"))
 @pytest.mark.parametrize("value", (Decimal("0.1"), True, np.True_, "0.1", None))
 def test_an_alpha_or_beta_that_is_no_real_number_is_refused(name, value):
     given = dict(alpha=0.1, beta=0.2, d=2)

@@ -549,6 +549,12 @@ def test_a_beta_that_is_no_real_number_is_refused(beta):
         RandomizedConfig(beta=beta)
 
 
+@pytest.mark.parametrize("beta", (10**400, -10**400, Fraction(10**400, 3)), ids=("1e400", "-1e400", "1e400/3"))
+def test_a_beta_beyond_the_float_range_is_refused(beta):
+    with pytest.raises(ValueError, match="beta must be a real number within the float range"):
+        RandomizedConfig(beta=beta)
+
+
 @pytest.mark.parametrize("workers", (1.5, True, np.True_, "2"))
 def test_a_worker_count_that_is_no_integer_is_refused(workers):
     data = _differential_data(50, 1, False, 1)

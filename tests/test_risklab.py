@@ -1,6 +1,8 @@
 import csv
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -491,6 +493,26 @@ def test_risk_curve_rows_carry_the_configs_floats(tmp_path):
         with open(out, newline="") as fh:
             cells = {(row["alpha"], row["beta"]) for row in csv.DictReader(fh)}
         assert cells == {(alpha_cell, repr(float(beta)))}
+
+
+@pytest.mark.parametrize("alpha", (np.float64(0.1), np.float32(0.25), Fraction(1, 10), 1))
+def test_a_randomized_curve_writes_its_alpha_as_the_python_float(tmp_path, alpha):
+    # the randomized rule reads no alpha, but the row carries it into the CSV
+    curve = risk_curve("randomized", get_distribution("d-lin", d=1), [20], 1, 50, 0, alpha=alpha, beta=0.5)
+    assert all(type(row.alpha) is float and row.alpha == float(alpha) for row in curve.rows)
+    out = tmp_path / "curve.csv"
+    write_risk_csv(curve, out)
+    with open(out, newline="") as fh:
+        assert {row["alpha"] for row in csv.DictReader(fh)} == {repr(float(alpha))}
+
+
+@pytest.mark.parametrize("alpha", (True, "0.1", Decimal("0.1"), 10**400), ids=("bool", "str", "decimal", "1e400"))
+def test_a_randomized_curve_refuses_an_alpha_that_is_no_float_before_it_trains(monkeypatch, alpha):
+    from celltree import risklab
+
+    monkeypatch.setattr(risklab, "build_tree", lambda *args: pytest.fail("a tree was trained"))
+    with pytest.raises(ValueError, match="alpha must be a real number"):
+        risk_curve("randomized", get_distribution("d-lin", d=1), [20], 1, 50, 0, alpha=alpha, beta=0.5)
 
 
 def test_build_tree_dispatches_to_each_builder():
