@@ -126,7 +126,8 @@ def _draws(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, ((high * k + ((low * k) >> 32)) >> 32).astype(np.int64)
 
 
-def _cut_in(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray, by_position: bool):
+def _cut_in(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray,
+            by_position: bool) -> tuple[np.ndarray, np.ndarray]:
     """``median._level``'s rule: cut by position in dimension 0 where the ids
     are its ranks (``by_position``, as storage ids are), by rank otherwise."""
     return _cut_positions(cells, kept) if by_position and not dim else _cut_rows(cells, kept, dim, table)
@@ -136,8 +137,8 @@ def _cut(cells: np.ndarray, sizes: np.ndarray, split: np.ndarray, dims: np.ndarr
          by_position: bool) -> tuple[np.ndarray, np.ndarray]:
     """Median-cut the rows that ``split`` marks, row i in dimension
     ``dims[i]``, with one ``_cut_in`` call per dimension drawn. Returns the
-    cut rows' pivots and next matrix in row order, as one call over them
-    would."""
+    cut rows' pivots and their next matrix, each row's low child, then its
+    high child, in row order."""
     kept, cut = sizes[split], dims[split]
     if kept.size < sizes.size:  # the widest splitting cell sets the width
         cells = cells[:, :kept.max()]
