@@ -26,6 +26,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Union
 
 import numpy as np
@@ -146,22 +147,45 @@ def decision_fingerprint(decision: CellDecision) -> str:
     """
     if isinstance(decision, Leaf):
         return f"leaf:{decision.count0}:{decision.count1}"
-    return _split_fingerprint(decision.splits, [c.n for c in decision.children])
+    cuts = decision.splits
+    return _split_fingerprints([dim for dim, _ in cuts], [thr for _, thr in cuts],
+                               [c.n for c in decision.children], 1)[0]
 
 
-def _split_fingerprint(cuts, sizes) -> str:
-    """A split's fingerprint: its (dim, threshold) cuts in cascade order, then its children's sizes."""
-    dims, thrs = ",".join(str(dim) for dim, _ in cuts), ",".join(repr(thr) for _, thr in cuts)
-    return f"split:dims={dims}:thr={thrs}:sizes={','.join(map(str, sizes))}"
+def _split_fingerprints(dims: list, thrs: list, sizes: list, splits: int) -> list[str]:
+    """The fingerprints of ``splits`` splits, each its (dim, threshold) cuts
+    in cascade order, then its children's sizes. ``dims`` and ``thrs`` hold
+    the cuts and ``sizes`` the children's sizes, split by split, as many for
+    each split; each value is formatted once, then joined."""
+    if not splits:
+        return []
+    dims, thrs, sizes = (_joined(map(fmt, col), len(col) // splits, splits)
+                         for fmt, col in ((str, dims), (repr, thrs), (str, sizes)))
+    return [f"split:dims={d}:thr={t}:sizes={s}" for d, t, s in zip(dims, thrs, sizes)]
 
 
-def _input_hash(seed: int, xs: np.ndarray, ys: np.ndarray) -> str:
+def _joined(strs, k: int, groups: int):
+    """``groups`` runs of ``k`` strings each, each run joined by commas."""
+    if k == 1:
+        return strs
+    return map(",".join, zip(*[iter(strs)] * k)) if k else [""] * groups
+
+
+def _input_hash(seed: int, xs, ys) -> str:
     """A cell's input hash: SHA-256 over its seed's 64 bits, then the bytes of
-    its points' float64 rows and int8 labels, each a C-contiguous array."""
+    its points' float64 rows and int8 labels, each a C-contiguous buffer."""
     h = hashlib.sha256(struct.pack("<Q", seed & _MASK64))
     h.update(xs)
     h.update(ys)
-    return h.hexdigest()[:16]
+    return h.digest()[:8].hex()
+
+
+def _gathered(dataset: Dataset, indices: np.ndarray) -> tuple[int, memoryview, memoryview]:
+    """The dataset's rows and labels at ``indices``, each gathered with one
+    ``take`` into a flat memoryview, and the values in one row: the points at
+    positions a..b of ``indices`` are ``xs[a * row:b * row]`` and ``ys[a:b]``."""
+    xs, ys = dataset.xs.take(indices, axis=0), dataset.ys.take(indices)
+    return xs.shape[1], memoryview(xs.reshape(-1)), memoryview(ys)
 
 
 @dataclass(frozen=True)
@@ -198,39 +222,41 @@ class BuildTrace:
                 fh.write(line + "\n")
 
 
-def _root_frontier(seed: int) -> tuple[list, list, list]:
-    """The root's trace frontier: its seed as given (-1 stays -1), cell id and parent id."""
-    return [seed], ["r"], [""]
+def _root_frontier(seed: int) -> tuple:
+    """The root's trace frontier: its seed as given (-1 stays -1), that seed
+    as a uint64 array, its cell id and its parent id."""
+    return [seed], np.array([seed & _MASK64], dtype=np.uint64), ["r"], [""]
 
 
 def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, sizes: np.ndarray,
-                      children: np.ndarray, frontier: tuple, dataset: Dataset) -> tuple[list, list, list]:
+                      children: np.ndarray, frontier: tuple, dataset: Dataset) -> tuple:
     """Append a kernel generation's ``TraceRecord``s as ``run_cells`` makes
     them, each view's indices a read-only int64 slice. Row i of ``cells``
     holds the ``sizes[i]`` points of ``frontier``'s cell i ascending before
     its filler, and ``children`` each split's children's sizes. ``frontier``
-    holds the generation's seeds, cell ids and parent ids; returns the next's."""
-    seeds, ids, parents = frontier
+    holds the generation's seeds, as given and as uint64s, cell ids and parent
+    ids (``_root_frontier``); returns the next's. The fingerprints are
+    formatted from the generation's columns, and each cell is hashed from
+    slices of its rows, gathered once for the generation (``_gathered``)."""
+    seeds, masked, ids, parents = frontier
     real = np.arange(cells.shape[1]) < sizes[:, None]
     viewed = cells.reshape(-1).compress(real.reshape(-1)).astype(np.int64)
     viewed.flags.writeable = False
-    xs, ys = dataset.xs.take(viewed, axis=0), dataset.ys.take(viewed)
-    arity, w = gen.arity, gen.arity - 1
-    leaves = (f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist()))
-    cuts, kids = list(zip(gen.dims.tolist(), gen.thrs.tolist())), children.tolist()
-    splits = (_split_fingerprint(cuts[s * w:(s + 1) * w], kids[s * arity:(s + 1) * arity])
-              for s in range(len(kids) // arity))
+    row, xs, ys = _gathered(dataset, viewed)
+    split = gen.split.tolist()
+    leaves = iter([f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist())])
+    splits = iter(_split_fingerprints(gen.dims.tolist(), gen.thrs.tolist(), children.tolist(),
+                                      len(split) - len(gen.count0)))
     ends = np.cumsum(sizes).tolist()
     trace.records += [
-        TraceRecord(cell_id, parent_id, b - a, seed, next(splits) if split else next(leaves),
-                    _input_hash(seed, xs[a:b], ys[a:b]), viewed[a:b])
-        for split, a, b, seed, cell_id, parent_id
-        in zip(gen.split.tolist(), [0] + ends[:-1], ends, seeds, ids, parents)
+        TraceRecord(cell_id, parent_id, b - a, seed, next(splits) if s else next(leaves),
+                    _input_hash(seed, xs[a * row:b * row], ys[a:b]), viewed[a:b])
+        for s, a, b, seed, cell_id, parent_id in zip(split, [0, *ends[:-1]], ends, seeds, ids, parents)
     ]
-    at = np.flatnonzero(gen.split).tolist()
-    next_seeds = _child_seeds(np.array([seeds[i] & _MASK64 for i in at], dtype=np.uint64), arity)
-    return (next_seeds.tolist(), [f"{ids[i]}.{j}" for i in at for j in range(arity)],
-            [ids[i] for i in at for _ in range(arity)])
+    arity = gen.arity
+    kids, parent_ids = _child_seeds(masked[gen.split], arity), list(compress(ids, split))
+    return (kids.tolist(), kids, [f"{p}.{j}" for p in parent_ids for j in range(arity)],
+            [p for p in parent_ids for _ in range(arity)])
 
 
 def run_cells(
@@ -357,11 +383,17 @@ _AUDIT_BLOCK = 1 << 20
 
 def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     """Each record's size and input hash checked against its own view, in
-    record order. The first record whose indices ``DataView`` would refuse
-    raises its ValueError."""
-    given = [np.atleast_1d(r.view_indices) for r in records]
-    flat_end = next((i for i, ix in enumerate(given) if ix.ndim != 1
-                     or ix.size and not np.issubdtype(ix.dtype, np.integer)), len(given))
+    record order. The first record whose indices ``DataView`` would refuse,
+    or whose seed is no integer, raises its ValueError."""
+    given = [r.view_indices for r in records]
+    # a 1-D integer ndarray passes DataView's dtype and dimension rule as it
+    # is; from the first other entry on (a list, a 0-d array), each is read
+    # by the rule itself
+    fast = next((i for i, ix in enumerate(given) if type(ix) is not np.ndarray
+                 or ix.ndim != 1 or ix.dtype.kind not in "iu"), len(given))
+    given[fast:] = map(np.atleast_1d, given[fast:])
+    flat_end = next((i for i in range(fast, len(given)) if given[i].ndim != 1
+                     or given[i].size and not np.issubdtype(given[i].dtype, np.integer)), len(given))
     sizes = np.array([ix.size for ix in given[:flat_end]], dtype=np.int64)
     flat = np.concatenate(given[:flat_end] + [np.empty(0, dtype=np.int64)], dtype=np.int64)
     del given
@@ -372,6 +404,7 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     ascending[starts[sizes > 0]] = True
     wrong = ~ascending | (flat < 0) | (flat >= dataset.n)
     bad = int(np.searchsorted(ends, wrong.argmax(), side="right")) if wrong.any() else flat_end
+    seeds = [s if type(s) is int else _integer(s, "seed") for s in [r.seed for r in records[:bad]]]
     if bad < len(records):
         DataView(dataset, records[bad].view_indices)  # raises the first refusal
     failures: list[str] = []
@@ -380,12 +413,13 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     while first < len(records):
         last = max(bisect.bisect_right(ends, starts[first] + _AUDIT_BLOCK), first + 1)
         block = flat[starts[first]:ends[last - 1]]
-        xs, ys = dataset.xs[block], dataset.ys[block]
-        for record, a, b in zip(records[first:last], starts[first:last], ends[first:last]):
+        row, xs, ys = _gathered(dataset, block)
+        for record, seed, a, b in zip(records[first:last], seeds[first:last],
+                                      starts[first:last], ends[first:last]):
             a, b = a - starts[first], b - starts[first]
             if record.n != b - a:
                 failures.append(f"{record.cell_id}: size mismatch")
-            if _input_hash(record.seed, xs[a:b], ys[a:b]) != record.input_hash:
+            if _input_hash(seed, xs[a * row:b * row], ys[a:b]) != record.input_hash:
                 failures.append(f"{record.cell_id}: input hash mismatch")
         first = last
     return failures

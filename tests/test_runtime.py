@@ -359,6 +359,16 @@ def test_decision_fingerprint_ignores_indices(rng):
     assert decision_fingerprint(original) == decision_fingerprint(detached)
 
 
+def test_decision_fingerprint_spells_each_cut_and_child_size():
+    data = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]))
+    kids = tuple(DataView(data, ix) for ix in ([0], [1, 2], [], [3]))
+    cuts = ((0, 0.5), (1, 2.25), (1, -1e-05))
+    assert decision_fingerprint(SplitDecision(cuts, (), kids)) == \
+        "split:dims=0,1,1:thr=0.5,2.25,-1e-05:sizes=1,2,0,1"
+    assert decision_fingerprint(SplitDecision((), (), kids[:2])) == "split:dims=:thr=:sizes=1,2"
+    assert decision_fingerprint(Leaf(3, 4)) == "leaf:3:4"
+
+
 def _pinned_trace_data() -> Dataset:
     """3,000 points on a 1/64 grid (many ties), labels x1 > 0.5 with 20% flips."""
     rng = np.random.default_rng(7)
@@ -432,8 +442,9 @@ def test_tampered_input_hashes_are_reported_in_record_order():
         (lambda ix: np.append(ix[1:], -1), "strictly ascending"),
         (lambda ix: ix.reshape(1, -1), "indices must be one-dimensional"),
         (lambda ix: ix.astype(np.float64) + 0.25, "indices must be integers, got dtype float64"),
+        (lambda ix: np.isin(np.arange(2_000), ix), "indices must be integers, got dtype bool"),
     ],
-    ids=["descending", "beyond-the-data", "negative", "two-dimensional", "float"],
+    ids=["descending", "beyond-the-data", "negative", "two-dimensional", "float", "boolean-mask"],
 )
 def test_the_audit_refuses_the_view_indices_a_view_refuses(indices, message):
     import dataclasses
@@ -450,6 +461,52 @@ def test_the_audit_refuses_the_view_indices_a_view_refuses(indices, message):
     records[3] = dataclasses.replace(records[3], view_indices=records[3].view_indices[::-1].copy())
     with pytest.raises(ValueError, match="indices must be strictly ascending"):
         _audit_all(trace, data)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [lambda ix: ix.tolist(), lambda ix: ix.astype(np.uint64), lambda ix: ix.astype(np.int32),
+     lambda ix: np.array(ix[0])],
+    ids=["list", "uint64", "int32", "zero-dimensional"],
+)
+def test_the_audit_reads_the_view_indices_a_view_accepts_in_any_form(form):
+    # each form is read as DataView reads it: the same points pass, and a
+    # view of other points is reported, not refused
+    import dataclasses
+
+    data, trace = _traced_build()
+    records = trace.records
+    one = next(i for i, r in enumerate(records) if r.n == 1)
+    many = next(i for i, r in enumerate(records) if r.n > 3 and i > 10)
+    records[one] = dataclasses.replace(records[one], view_indices=form(records[one].view_indices))
+    records[many] = dataclasses.replace(records[many], view_indices=form(records[many].view_indices[:-1]))
+    for at in (one, many):
+        DataView(data, records[at].view_indices)
+    report = audit_autonomy(trace, data, randomized_decision(0.99), sample=0)
+    cell = records[many].cell_id
+    assert report.failures == (f"{cell}: size mismatch", f"{cell}: input hash mismatch")
+
+
+@pytest.mark.parametrize("seed, message", [(1.5, "got 1.5"), (None, "got None"), (True, "not a bool")])
+def test_the_audit_refuses_a_record_seed_that_is_no_integer(seed, message):
+    import dataclasses
+
+    data, trace = _traced_build()
+    records = trace.records
+    kept = records[40]
+    # a numpy integer is read as the Python int
+    records[40] = dataclasses.replace(kept, seed=np.uint64(kept.seed))
+    assert audit_autonomy(trace, data, randomized_decision(0.99), sample=0).ok
+    records[40] = dataclasses.replace(kept, seed=seed)
+    with pytest.raises(ValueError, match=f"seed must be an integer, {message}"):
+        audit_autonomy(trace, data, randomized_decision(0.99), sample=0)
+    # the first refusal in record order is the one raised, a seed's or a view's
+    records[70] = dataclasses.replace(records[70], view_indices=records[70].view_indices[::-1].copy())
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        audit_autonomy(trace, data, randomized_decision(0.99), sample=0)
+    records[20] = dataclasses.replace(records[20], view_indices=records[20].view_indices[::-1].copy())
+    with pytest.raises(ValueError, match="indices must be strictly ascending"):
+        audit_autonomy(trace, data, randomized_decision(0.99), sample=0)
 
 
 def test_the_audit_passes_records_of_empty_views(rng):
