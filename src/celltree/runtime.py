@@ -159,9 +159,10 @@ def _split_fingerprints(dims: list, thrs: list, sizes: list, splits: int) -> lis
     each split; each value is formatted once, then joined."""
     if not splits:
         return []
-    dims, thrs, sizes = (_joined(map(fmt, col), len(col) // splits, splits)
-                         for fmt, col in ((str, dims), (repr, thrs), (str, sizes)))
-    return [f"split:dims={d}:thr={t}:sizes={s}" for d, t, s in zip(dims, thrs, sizes)]
+    cuts, arity = len(dims) // splits, len(sizes) // splits
+    return [f"split:dims={d}:thr={t}:sizes={s}" for d, t, s in zip(
+        _joined(map(str, dims), cuts, splits), _joined(map(repr, thrs), cuts, splits),
+        _joined(map(str, sizes), arity, splits))]
 
 
 def _joined(strs, k: int, groups: int):
@@ -404,7 +405,7 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     ascending[starts[sizes > 0]] = True
     wrong = ~ascending | (flat < 0) | (flat >= dataset.n)
     bad = int(np.searchsorted(ends, wrong.argmax(), side="right")) if wrong.any() else flat_end
-    seeds = [s if type(s) is int else _integer(s, "seed") for s in [r.seed for r in records[:bad]]]
+    seeds = [r.seed if type(r.seed) is int else _integer(r.seed, "seed") for r in records[:bad]]
     if bad < len(records):
         DataView(dataset, records[bad].view_indices)  # raises the first refusal
     failures: list[str] = []
