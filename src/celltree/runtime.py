@@ -147,19 +147,20 @@ def decision_fingerprint(decision: CellDecision) -> str:
     """
     if isinstance(decision, Leaf):
         return f"leaf:{decision.count0}:{decision.count1}"
-    cuts = decision.splits
+    cuts, children = decision.splits, decision.children
     return _split_fingerprints([dim for dim, _ in cuts], [thr for _, thr in cuts],
-                               [c.n for c in decision.children], 1)[0]
+                               [c.n for c in children], 1, len(cuts), len(children))[0]
 
 
-def _split_fingerprints(dims: list, thrs: list, sizes: list, splits: int) -> list[str]:
-    """The fingerprints of ``splits`` splits, each its (dim, threshold) cuts
-    in cascade order, then its children's sizes. ``dims`` and ``thrs`` hold
-    the cuts and ``sizes`` the children's sizes, split by split, as many for
-    each split; each value is formatted once, then joined."""
+def _split_fingerprints(dims: list, thrs: list, sizes: list, splits: int, cuts: int,
+                        arity: int) -> list[str]:
+    """The fingerprints of ``splits`` splits, each its ``cuts`` (dim,
+    threshold) cuts in cascade order, then its ``arity`` children's sizes.
+    ``dims`` and ``thrs`` hold the cuts and ``sizes`` the children's sizes,
+    split by split; each value is formatted once, then joined. No splits
+    make no joins, whose runs could be 2^d - 1 long."""
     if not splits:
         return []
-    cuts, arity = len(dims) // splits, len(sizes) // splits
     return [f"split:dims={d}:thr={t}:sizes={s}" for d, t, s in zip(
         _joined(map(str, dims), cuts, splits), _joined(map(repr, thrs), cuts, splits),
         _joined(map(str, sizes), arity, splits))]
@@ -167,8 +168,6 @@ def _split_fingerprints(dims: list, thrs: list, sizes: list, splits: int) -> lis
 
 def _joined(strs, k: int, groups: int):
     """``groups`` runs of ``k`` strings each, each run joined by commas."""
-    if k == 1:
-        return strs
     return map(",".join, zip(*[iter(strs)] * k)) if k else [""] * groups
 
 
@@ -223,40 +222,41 @@ class BuildTrace:
                 fh.write(line + "\n")
 
 
-def _root_frontier(seed: int) -> tuple:
-    """The root's trace frontier: its seed as given (-1 stays -1), that seed
-    as a uint64 array, its cell id and its parent id."""
-    return [seed], np.array([seed & _MASK64], dtype=np.uint64), ["r"], [""]
+def _root_frontier(seed: int) -> tuple[list, list, list]:
+    """The root's trace frontier: its seed as given (-1 stays -1), cell id and parent id."""
+    return [seed], ["r"], [""]
 
 
 def _trace_generation(trace: BuildTrace, gen: _Generation, cells: np.ndarray, sizes: np.ndarray,
-                      children: np.ndarray, frontier: tuple, dataset: Dataset) -> tuple:
+                      children: np.ndarray, frontier: tuple, dataset: Dataset) -> tuple[list, list, list]:
     """Append a kernel generation's ``TraceRecord``s as ``run_cells`` makes
     them, each view's indices a read-only int64 slice. Row i of ``cells``
     holds the ``sizes[i]`` points of ``frontier``'s cell i ascending before
     its filler, and ``children`` each split's children's sizes. ``frontier``
-    holds the generation's seeds, as given and as uint64s, cell ids and parent
-    ids (``_root_frontier``); returns the next's. The fingerprints are
-    formatted from the generation's columns, and each cell is hashed from
-    slices of its rows, gathered once for the generation (``_gathered``)."""
-    seeds, masked, ids, parents = frontier
+    holds the generation's seeds, cell ids and parent ids; returns the
+    next's. The fingerprints are formatted from the generation's columns,
+    and each cell is hashed from slices of its rows, gathered once for the
+    generation (``_gathered``)."""
+    seeds, ids, parents = frontier
     real = np.arange(cells.shape[1]) < sizes[:, None]
     viewed = cells.reshape(-1).compress(real.reshape(-1)).astype(np.int64)
     viewed.flags.writeable = False
     row, xs, ys = _gathered(dataset, viewed)
-    split = gen.split.tolist()
+    split, arity = gen.split.tolist(), gen.arity
     leaves = iter([f"leaf:{c0}:{c1}" for c0, c1 in zip(gen.count0.tolist(), gen.count1.tolist())])
     splits = iter(_split_fingerprints(gen.dims.tolist(), gen.thrs.tolist(), children.tolist(),
-                                      len(split) - len(gen.count0)))
+                                      len(split) - len(gen.count0), arity - 1, arity))
     ends = np.cumsum(sizes).tolist()
     trace.records += [
         TraceRecord(cell_id, parent_id, b - a, seed, next(splits) if s else next(leaves),
                     _input_hash(seed, xs[a * row:b * row], ys[a:b]), viewed[a:b])
         for s, a, b, seed, cell_id, parent_id in zip(split, [0, *ends[:-1]], ends, seeds, ids, parents)
     ]
-    arity = gen.arity
-    kids, parent_ids = _child_seeds(masked[gen.split], arity), list(compress(ids, split))
-    return (kids.tolist(), kids, [f"{p}.{j}" for p in parent_ids for j in range(arity)],
+    # the root's seed, as given, may lie outside uint64 (-1): an object array
+    # masks the split cells' seeds to 64 bits in one operation
+    kept = (np.array(list(compress(seeds, split)), dtype=object) & _MASK64).astype(np.uint64)
+    parent_ids = list(compress(ids, split))
+    return (_child_seeds(kept, arity).tolist(), [f"{p}.{j}" for p in parent_ids for j in range(arity)],
             [p for p in parent_ids for _ in range(arity)])
 
 
@@ -386,15 +386,10 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     """Each record's size and input hash checked against its own view, in
     record order. The first record whose indices ``DataView`` would refuse,
     or whose seed is no integer, raises its ValueError."""
-    given = [r.view_indices for r in records]
-    # a 1-D integer ndarray passes DataView's dtype and dimension rule as it
-    # is; from the first other entry on (a list, a 0-d array), each is read
-    # by the rule itself
-    fast = next((i for i, ix in enumerate(given) if type(ix) is not np.ndarray
-                 or ix.ndim != 1 or ix.dtype.kind not in "iu"), len(given))
-    given[fast:] = map(np.atleast_1d, given[fast:])
-    flat_end = next((i for i in range(fast, len(given)) if given[i].ndim != 1
-                     or given[i].size and not np.issubdtype(given[i].dtype, np.integer)), len(given))
+    given = [ix if type(ix) is np.ndarray and ix.ndim == 1 else np.atleast_1d(ix)
+             for ix in (r.view_indices for r in records)]
+    flat_end = next((i for i, ix in enumerate(given) if ix.ndim != 1 or ix.size and ix.dtype.kind
+                     not in "iu" and not np.issubdtype(ix.dtype, np.integer)), len(given))
     sizes = np.array([ix.size for ix in given[:flat_end]], dtype=np.int64)
     flat = np.concatenate(given[:flat_end] + [np.empty(0, dtype=np.int64)], dtype=np.int64)
     del given
@@ -405,7 +400,7 @@ def _input_failures(records: list[TraceRecord], dataset) -> list[str]:
     ascending[starts[sizes > 0]] = True
     wrong = ~ascending | (flat < 0) | (flat >= dataset.n)
     bad = int(np.searchsorted(ends, wrong.argmax(), side="right")) if wrong.any() else flat_end
-    seeds = [r.seed if type(r.seed) is int else _integer(r.seed, "seed") for r in records[:bad]]
+    seeds = [_integer(r.seed, "seed") for r in records[:bad]]
     if bad < len(records):
         DataView(dataset, records[bad].view_indices)  # raises the first refusal
     failures: list[str] = []
