@@ -101,12 +101,13 @@ class Dataset:
 
     Untraced builds cut in storage order, the points sorted by (dimension-0
     value, index), and read ``_storage``: that order, the rank table in it
-    (4 * d * n bytes below 2^31 points, row 0 being 0..n-1) and the labels
-    in it, 5 * n bytes more. Traced builds, whose records name dataset
-    indices, and the per-cell reference read ``_rank_table``, the same table
-    in dataset order; the int64 ``ranks`` widens it on request. Each is built
-    on first use by its own argsorts and kept for the dataset's lifetime, so
-    a dataset that only untraced builds read holds one rank table.
+    with no row for dimension 0, whose ranks are the storage ids, and the
+    labels in it, 4 * (d - 1) * n + 5 * n bytes below 2^31 points. Traced
+    builds, whose records name dataset indices, and the per-cell reference
+    read ``_rank_table``, all d rows in dataset order; the int64 ``ranks``
+    widens it on request. Each is built on first use by its own argsorts and
+    kept for the dataset's lifetime, so a dataset that only untraced builds
+    read holds one rank table.
     """
 
     __slots__ = ("xs", "ys", "_order", "_table", "_labels", "_indexed", "_ranks")
@@ -120,7 +121,7 @@ class Dataset:
             raise ValueError("ys must have shape (n,)")
         if xs.size and not np.isfinite(xs).all():
             raise ValueError("coordinates must be finite")
-        if labels.size and not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
         ys = np.array(labels, dtype=np.int8, order="C")
         xs.flags.writeable = False
@@ -164,30 +165,30 @@ class Dataset:
         return table
 
     @property
-    def _storage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _storage(self) -> tuple[np.ndarray, tuple, np.ndarray]:
         """Read-only storage order, rank table and labels: storage id s is
         point ``order[s]``, the s-th in dimension 0's strict order, and its
-        ranks and label are ``table[:, s]`` and ``labels[s]``. Built on first
-        use and kept: dimension 0's argsort is the order, and each other
-        row and the labels are gathered along it, each row from one argsort
-        of its column. Threads racing on the first use compute equal arrays,
-        as for ``_rank_table``."""
+        ranks and label are ``table[dim][s]`` and ``labels[s]``, but
+        ``table[0]`` is None: storage ids are dimension 0's ranks. Built on
+        first use and kept: dimension 0's argsort is the order, and each
+        other row and the labels are gathered along it, each row from one
+        argsort of its column. Threads racing on the first use compute equal
+        arrays, as for ``_rank_table``."""
         if self._table is None:
             n, dtype = self.n, _index_dtype(self.n)
             # the kept arrays are allocated before the presort's temporaries:
             # allocated after them, they held the freed heap below them
             # resident, and perfbench's eval-csv peaked 11 MiB higher
-            table, order, labels = np.empty((self.d, n), dtype), np.empty(n, dtype), np.empty(n, np.int8)
+            rows, order, labels = np.empty((self.d - 1, n), dtype), np.empty(n, dtype), np.empty(n, np.int8)
             order[:] = self._presort(0)
             self.ys.take(order, out=labels)
-            table[0] = positions = np.arange(n, dtype=dtype)
-            ranks = np.empty(n, dtype)
-            for dim in range(1, self.d):
+            positions, ranks = np.arange(n, dtype=dtype), np.empty(n, dtype)
+            for dim, row in enumerate(rows, 1):
                 ranks[self._presort(dim)] = positions
-                ranks.take(order, out=table[dim])
-            # the table last: it marks the other two as kept
-            self._keep(_order=order, _labels=labels, _table=table)
-        return self._order, self._table, self._labels
+                ranks.take(order, out=row)
+            # the rows last: they mark the other two as kept
+            self._keep(_order=order, _labels=labels, _table=rows)
+        return self._order, (None, *self._table), self._labels
 
     @property
     def ranks(self) -> np.ndarray:

@@ -200,7 +200,7 @@ def _generations(data: Dataset, config: LookaheadConfig, trace: BuildTrace | Non
         ks = [k_plus(n, config.alpha) for n in ns]
         while len(levels) <= max(ks):
             top = levels[-1]
-            cuts, rows, sizes = _level(top[3], top[0], table, order is not None)
+            cuts, rows, sizes = _level(top[3], top[0], table)
             if trace is None:
                 top[3] = None
             levels.append([sizes, _row_ones(rows, sizes, ys), cuts, rows])

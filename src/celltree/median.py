@@ -7,26 +7,27 @@ smaller than the parent, which is what guarantees termination no matter how
 degenerate the coordinates are.
 
 Every cut is made by ``_cut_rows`` over the rows of a padded matrix of point
-ids, one row per cell, or by ``_cut_positions`` where the ids are the ranks.
-Each call cuts in one dimension: the randomized builder cuts a generation
-with one call per dimension its cells drew, and ``_level`` grows a full
-level under every row with one call per dimension, its cuts in heap order;
-``full_level_split``, ``build_full_tree`` and the lookahead probe use it.
-``median_split``, a one-row call that no build makes, is the per-cell
-reference. An empty row, a cell that a full level ran out of points for,
-reports pivot -1 and no cut record, and splits into two empty children.
+ids, one row per cell, or by ``_cut_positions`` where the ids are the ranks;
+``_cut`` chooses between them. Each call cuts in one dimension: the
+randomized builder cuts a generation with one ``_cut`` per dimension its
+cells drew, and ``_level`` grows a full level under every row with one per
+dimension, its cuts in heap order; ``full_level_split``, ``build_full_tree``
+and the lookahead probe use it. ``median_split``, a one-row call that no
+build makes, is the per-cell reference. An empty row, a cell that a full
+level ran out of points for, reports pivot -1 and no cut record, and splits
+into two empty children.
 
 The kernel never sorts a cell. It compares the dataset's presorted ranks
-(int32 below 2^31 points, 4 * d * n bytes), which encode the strict order
-of the whole dataset and therefore of every subset of it: a cell's own
-ranks order its points exactly as sorting them would. A linear
-``np.partition`` on the narrow ranks selects each row's median rank by
-value; since ranks are distinct, the one entry equal to it locates the
-pivot, and selecting each row's ascending ids by rank keeps each child
-ascending without a sort (SLIQ-style presorting; Mehta, Agrawal & Rissanen
-1996). ``ndarray.compress`` selects them: boolean indexing returns the same
-array and is 3.5-4x slower (numpy 2.4) on a mask as unpredictable as a
-median cut's.
+(int32 below 2^31 points), which encode the strict order of the whole
+dataset and therefore of every subset of it: a cell's own ranks order its
+points exactly as sorting them would. A linear ``np.partition`` on the
+narrow ranks selects each row's median rank by value; since ranks are
+distinct, the one entry equal to it locates the pivot, and selecting each
+row's ascending ids by rank keeps each child ascending without a sort
+(SLIQ-style presorting; Mehta, Agrawal & Rissanen 1996).
+``ndarray.compress`` selects them: boolean indexing returns the same array
+and is 3.5-4x slower (numpy 2.4) on a mask as unpredictable as a median
+cut's.
 
 The kernel reads whichever rank table and labels it is handed, in the order
 its ids number points in (``_cut_order``). An untraced build cuts in the
@@ -34,11 +35,12 @@ dataset's storage order, the points sorted by dimension-0 rank
 (``Dataset._storage``): a cell's points then sit at nearby ids, so the rank
 gathers read memory nearly in order, and each generation maps its pivots
 back to dataset indices through the order. Storage ids are dimension 0's
-ranks, so both kernels' dimension-0 cuts are ``_cut_positions``, which
-takes a row's r-th id as its pivot without reading a rank, and only their
-other dimensions' cuts read the table. Traced builds, whose records name
-dataset indices, and the per-cell reference cut in dataset order
-(``Dataset._rank_table``), every dimension through ``_cut_rows``.
+ranks: the storage table's entry for it is None, not a row (the table takes
+4 * (d - 1) * n bytes, order and labels 5 * n), and ``_cut`` cuts it by
+``_cut_positions``, which takes a row's r-th id as its pivot, reading no
+rank. Traced builds, whose records name dataset indices, and the per-cell
+reference cut in dataset order (``Dataset._rank_table``), every dimension
+through ``_cut_rows``.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .core import Dataset, DataView, Leaf, PartitionTree, _CutTable, _index_dtyp
 from .core import strict_rank  # noqa: F401
 
 
-def _cut_rows(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cut_rows(cells: np.ndarray, kept: np.ndarray, dim: int, table) -> tuple[np.ndarray, np.ndarray]:
     """Median-cut every row of ``cells``, row i holding ``kept[i]`` point
     ids ascending before its filler, in dimension ``dim``. Returns the
     pivots, -1 for an empty row, and the next matrix: each row's low child,
@@ -74,7 +76,7 @@ def _cut_rows(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray) 
     rows, width = cells.shape
     if not width:  # only empty rows
         return np.full(rows, -1, dtype=cells.dtype), np.empty((2 * rows, 0), dtype=cells.dtype)
-    n, rank = table.shape[1], (width + 1) // 2
+    n, rank = len(table[dim]), (width + 1) // 2
     rk = table[dim].take(cells)
     least = int(kept.min())
     if least < width:  # row i's filler: rank c - W in column c up to column R + kept[i] // 2, then n
@@ -112,6 +114,12 @@ def _cut_positions(cells: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.
     return pivots, nxt.reshape(2 * rows, width - rank)
 
 
+def _cut(cells: np.ndarray, kept: np.ndarray, dim: int, table) -> tuple[np.ndarray, np.ndarray]:
+    """Cut every row in dimension ``dim``: by position where ``table[dim]``
+    is None, the ids being that dimension's ranks, by rank otherwise."""
+    return _cut_positions(cells, kept) if table[dim] is None else _cut_rows(cells, kept, dim, table)
+
+
 def _row_ones(cells: np.ndarray, sizes: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Each row's count of label 1 over its ``sizes[i]`` real slots."""
     ones = ys.take(cells)
@@ -125,7 +133,7 @@ def _rows(view: DataView) -> tuple[np.ndarray, np.ndarray]:
     return view.indices.astype(_index_dtype(view.dataset.n))[None], np.array([view.n])
 
 
-def _cut_order(dataset: Dataset, traced: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+def _cut_order(dataset: Dataset, traced: bool) -> tuple[np.ndarray | None, np.ndarray | tuple, np.ndarray]:
     """The order a build's ids number points in, its rank table and its
     labels. A traced build cuts in dataset order (order None), which its
     records name; an untraced one in the dataset's storage order, where a
@@ -145,21 +153,15 @@ def _heap_dims(d: int) -> np.ndarray:
     return np.repeat(np.arange(d), [1 << j for j in range(d)])
 
 
-def _level(cells: np.ndarray, sizes: np.ndarray, table: np.ndarray,
-           by_position: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level(cells: np.ndarray, sizes: np.ndarray, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full level under every row: all rows cut in dimension 0, all
-    their halves in dimension 1, and so on, each cut reading ``table`` as
-    ``_cut_rows`` does. With ``by_position`` the ids are dimension 0's
-    ranks, as storage ids are, and ``_cut_positions`` makes the dimension-0
-    cuts. Returns each row's 2^d - 1 pivots in heap order (``_heap_dims``),
-    -1 for an empty row's cut, then the 2^d children of every row in
-    canonical order and their sizes."""
+    their halves in dimension 1, and so on, each by ``_cut``. Returns each
+    row's 2^d - 1 pivots in heap order (``_heap_dims``), -1 for an empty
+    row's cut, then the 2^d children of every row in canonical order and
+    their sizes."""
     pivots = []
     for dim in range(len(table)):
-        if by_position and not dim:
-            cut, cells = _cut_positions(cells, sizes)
-        else:
-            cut, cells = _cut_rows(cells, sizes, dim, table)
+        cut, cells = _cut(cells, sizes, dim, table)
         pivots.append(cut.reshape(-1, 1 << dim))  # row i's 2^dim cuts
         sizes = (np.maximum(sizes[:, None] - (1, 0), 0) // 2).reshape(-1)
     return np.concatenate(pivots, axis=1), cells, sizes

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Leaf, PartitionTree, _Generation, _integer, _real, classify, majority_label
-from .median import _cut_order, _cut_positions, _cut_rows, _row_ones, _rows, median_split
+from . import median
+from .median import _cut_order, _row_ones, _rows, median_split
 from .runtime import (
     _GOLDEN,
     _MASK64,
@@ -126,17 +127,10 @@ def _draws(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return u, ((high * k + ((low * k) >> 32)) >> 32).astype(np.int64)
 
 
-def _cut_in(cells: np.ndarray, kept: np.ndarray, dim: int, table: np.ndarray,
-            by_position: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``median._level``'s rule: cut by position in dimension 0 where the ids
-    are its ranks (``by_position``, as storage ids are), by rank otherwise."""
-    return _cut_positions(cells, kept) if by_position and not dim else _cut_rows(cells, kept, dim, table)
-
-
-def _cut(cells: np.ndarray, sizes: np.ndarray, split: np.ndarray, dims: np.ndarray, table: np.ndarray,
-         by_position: bool) -> tuple[np.ndarray, np.ndarray]:
+def _cut(cells: np.ndarray, sizes: np.ndarray, split: np.ndarray, dims: np.ndarray,
+         table) -> tuple[np.ndarray, np.ndarray]:
     """Median-cut the rows that ``split`` marks, row i in dimension
-    ``dims[i]``, with one ``_cut_in`` call per dimension drawn. Returns the
+    ``dims[i]``, with one ``median._cut`` call per dimension drawn. Returns the
     cut rows' pivots and their next matrix, each row's low child, then its
     high child, in row order."""
     kept, cut = sizes[split], dims[split]
@@ -144,14 +138,14 @@ def _cut(cells: np.ndarray, sizes: np.ndarray, split: np.ndarray, dims: np.ndarr
         cells = cells[:, :kept.max()]
     drawn = np.flatnonzero(np.bincount(cut, minlength=len(table))).tolist()
     if len(drawn) == 1:  # one call over the cut rows, in order: nothing to write back
-        return _cut_in(cells if kept.size == sizes.size else cells.compress(split, axis=0), kept, drawn[0],
-                       table, by_position)
+        return median._cut(cells if kept.size == sizes.size else cells.compress(split, axis=0), kept,
+                           drawn[0], table)
     pivots = np.empty(kept.size, dtype=cells.dtype)
     nxt = np.empty((kept.size, 2, cells.shape[1] // 2), dtype=cells.dtype)
     for dim in drawn:
         group = cut == dim
-        pivots[group], children = _cut_in(cells.compress(split & (dims == dim), axis=0), kept[group], dim,
-                                          table, by_position)
+        pivots[group], children = median._cut(cells.compress(split & (dims == dim), axis=0), kept[group],
+                                              dim, table)
         nxt[group] = children.reshape(-1, 2, nxt.shape[2])
     return pivots, nxt.reshape(2 * kept.size, -1)
 
@@ -170,9 +164,9 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
     dimension with one call, and writes their children back in frontier
     order. Draws and stop rule are ``randomized_decision``'s, so every
     record and ``TraceRecord`` is the one ``run_cells`` gives cell by cell.
-    Untraced, the ids are storage ids (``median._cut_order``), so the
-    dimension-0 rows are cut by position, and each generation's pivots are
-    mapped back to dataset indices.
+    Untraced, the ids are storage ids (``median._cut_order``), whose
+    dimension-0 rows ``median._cut`` cuts by position, and each
+    generation's pivots are mapped back to dataset indices.
     """
     d, xs = data.d, data.xs
     order, table, ys = _cut_order(data, trace is not None)
@@ -192,7 +186,7 @@ def _generations(data: Dataset, config: RandomizedConfig, trace: BuildTrace | No
         ones = _row_ones(cells.compress(stop, axis=0), stopped, ys) if stopped.size else stopped
         pivots = np.empty(0, dtype=cells.dtype)
         if kept.size:
-            pivots, cells = _cut(cells, sizes, split, dims, table, order is not None)
+            pivots, cells = _cut(cells, sizes, split, dims, table)
             if order is not None:
                 pivots = order.take(pivots)
         gen = _Generation(split, stopped - ones, ones, cut, xs[pivots, cut], pivots, 2)

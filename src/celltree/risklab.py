@@ -32,9 +32,9 @@ from .runtime import derive_child_seed
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """``default_rng(seed)``. ``PCG64`` takes only a seed >= 0; another is
-    refused here with a message that names it."""
-    if seed < 0:
+    """``default_rng(seed)``. ``PCG64`` takes only an integer seed >= 0;
+    another is refused here with a message that names it."""
+    if _integer(seed, "seed") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
@@ -183,6 +183,7 @@ def estimate_level_risk(
     from uniform draws routed into the partition; the sample budget adapts
     until every visited leaf has enough points for a standard error of 0.01.
     """
+    seed = _integer(seed, "seed")
     if _integer(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
     if _integer(k, "k") < 0:
@@ -286,6 +287,7 @@ def risk_curve(
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
+    seed = _integer(seed, "seed")
     if _integer(reps, "reps") < 1:
         raise ValueError("reps must be >= 1")
     if _integer(m, "m") < 1:  # before any tree is trained for it

@@ -671,8 +671,8 @@ def test_load_csv_rejects_undecodable_bytes(tmp_path):
 
 @pytest.mark.parametrize(
     "ys",
-    [[256, 1], [257.0, 0.0], [0.5, 1.0], [-255, 0], [math.nan, 1.0]],
-    ids=["256", "257.0", "0.5", "-255", "nan"],
+    [[256, 1], [257.0, 0.0], [0.5, 1.0], [-255, 0], [math.nan, 1.0], ["0", "1"], [b"0", b"1"], [None, 0]],
+    ids=["256", "257.0", "0.5", "-255", "nan", "str", "bytes", "none"],
 )
 def test_dataset_checks_labels_before_the_int8_cast(ys):
     for labels in (ys, np.array(ys)):

@@ -398,10 +398,10 @@ def test_kernel_build_matches_the_per_cell_build(n, d, beta, seed, data_seed):
 def test_the_root_view_indices_are_freed_before_the_first_cut(monkeypatch, traced):
     import weakref
 
-    from celltree import randomized
+    from celltree import median
 
     data = _differential_data(3_000, 2, True, 5)
-    full_view, cut_rows = Dataset.full_view, randomized._cut_rows
+    full_view, cut_rows = Dataset.full_view, median._cut_rows
     roots, alive = [], []
 
     def tracked_full_view(self):
@@ -414,7 +414,7 @@ def test_the_root_view_indices_are_freed_before_the_first_cut(monkeypatch, trace
         return cut_rows(*args)
 
     monkeypatch.setattr(Dataset, "full_view", tracked_full_view)
-    monkeypatch.setattr(randomized, "_cut_rows", tracked_cut_rows)
+    monkeypatch.setattr(median, "_cut_rows", tracked_cut_rows)
     build_randomized(data, RandomizedConfig(beta=0.99, seed=0), trace=BuildTrace() if traced else None)
     assert len(roots) == 1 and len(alive) > 5
     assert alive[0] == [False]
@@ -436,40 +436,42 @@ def test_wide_gather_indices_give_the_same_build(monkeypatch):
 
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_an_untraced_build_cuts_dimension_0_by_position(monkeypatch, d):
-    # storage ids are dimension 0's ranks: an untraced build cuts its
-    # dimension-0 rows by position and sends the rank kernel one dimension a
-    # call; a traced build, whose ids are dataset indices, sends it dimension
-    # 0 too, and both give the same document
-    from celltree import median, randomized
+    # storage ids are dimension 0's ranks: an untraced build, randomized or
+    # lookahead, cuts its dimension-0 rows by position and sends the rank
+    # kernel one dimension a call; a traced build, whose ids are dataset
+    # indices, sends it dimension 0 too, and both give the same document
+    from celltree import median
 
     data = _differential_data(3_000, d, True, 9 + d)
-    config = RandomizedConfig(beta=0.99, seed=11)
     dims: list = []
-    for module in (median, randomized):
-        def recorded(cells, kept, dim, table, cut_rows=module._cut_rows):
-            dims.append(dim)
-            return cut_rows(cells, kept, dim, table)
 
-        monkeypatch.setattr(module, "_cut_rows", recorded)
-    untraced = serialize_tree(build_randomized(data, config))
-    assert all(np.ndim(dim) == 0 and 0 < dim < d for dim in dims)
-    assert len(dims) > 5 or d == 1
-    dims.clear()
-    traced = BuildTrace()
-    assert serialize_tree(build_randomized(data, config, trace=traced)) == untraced
-    assert all(np.ndim(dim) == 0 for dim in dims) and 0 in dims and len(traced.records) > 100
+    def recorded(cells, kept, dim, table, cut_rows=median._cut_rows):
+        dims.append(dim)
+        return cut_rows(cells, kept, dim, table)
+
+    monkeypatch.setattr(median, "_cut_rows", recorded)
+    for build, config, calls, records in ((build_randomized, RandomizedConfig(beta=0.99, seed=11), 5, 100),
+                                          (build_lookahead, LookaheadConfig(0.3 / d, 0.2, d, seed=11), 0, 0)):
+        dims.clear()
+        untraced = serialize_tree(build(data, config))
+        assert all(np.ndim(dim) == 0 and 0 < dim < d for dim in dims)
+        assert len(dims) > calls or d == 1
+        dims.clear()
+        traced = BuildTrace()
+        assert serialize_tree(build(data, config, trace=traced)) == untraced
+        assert all(np.ndim(dim) == 0 for dim in dims) and 0 in dims and len(traced.records) > records
 
 
-@pytest.mark.parametrize("by_position", (False, True))
-def test_a_generation_cut_a_dimension_at_a_time_is_each_row_cut_on_its_own(by_position):
+@pytest.mark.parametrize("storage", (False, True))
+def test_a_generation_cut_a_dimension_at_a_time_is_each_row_cut_on_its_own(storage):
     # rows of 0 to 500 points, some not splitting, each in its own
     # dimension: every cut row's pivot and children are those of a one-row
-    # _cut_rows call, in row order
-    from celltree.median import _cut_rows
+    # median._cut call, in row order
+    from celltree import median
     from celltree.randomized import _cut
 
     data = _differential_data(1_506, 3, True, 6)
-    table = data._storage[1] if by_position else data._rank_table
+    table = data._storage[1] if storage else data._rank_table
     sizes = np.array([0, 1, 2, 3, 500, 499, 500, 1])
     cells = np.split(np.random.default_rng(8).permutation(1_506), np.cumsum(sizes)[:-1])
     matrix = np.zeros((8, 500), dtype=np.int32)  # filler id 0
@@ -477,10 +479,10 @@ def test_a_generation_cut_a_dimension_at_a_time_is_each_row_cut_on_its_own(by_po
         row[:c.size] = np.sort(c)
     split = sizes >= 3
     dims = np.array([1, 0, 2, 0, 1, 2, 0, 1])
-    pivots, children = _cut(matrix, sizes, split, dims, table, by_position)
+    pivots, children = _cut(matrix, sizes, split, dims, table)
     assert pivots.shape == (4,) and children.shape[0] == 8
     for i, at in enumerate(np.flatnonzero(split).tolist()):
-        want_pivot, want = _cut_rows(matrix[at:at + 1], sizes[at:at + 1], int(dims[at]), table)
+        want_pivot, want = median._cut(matrix[at:at + 1], sizes[at:at + 1], int(dims[at]), table)
         assert pivots[i] == want_pivot[0]
         for got, wanted, m in zip(children[2 * i:2 * i + 2], want, ((sizes[at] - 1) // 2, sizes[at] // 2)):
             assert np.array_equal(got[:m], wanted[:m])

@@ -207,6 +207,20 @@ def test_sampling_refuses_a_negative_seed(seed):
             draw()
 
 
+@pytest.mark.parametrize("seed", (True, 1.5, None, "3"))
+def test_every_seed_is_read_as_an_integer(seed):
+    # a bool is no seed 1, and a value of no integer kind is a ValueError
+    # that names the seed, as it is for a build's config
+    dist = get_distribution("d-lin", d=1)
+    for draw in (lambda s: dist.sample(10, s).xs.tolist(), lambda s: dist.sample_x(10, s).tolist(),
+                 lambda s: empirical_risk(constant_predictor(0), dist, m=10, seed=s),
+                 lambda s: estimate_level_risk(dist, n=20, k=1, reps=1, seed=s),
+                 lambda s: risk_curve("randomized", dist, [20], 1, 10, s)):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            draw(seed)
+        assert draw(np.int64(3)) == draw(3)
+
+
 def test_bayes_rule_achieves_its_advertised_risk():
     dist = get_distribution("d-lin", d=2)
     est = empirical_risk(bayes_predictor(dist), dist, m=200_000, seed=9)

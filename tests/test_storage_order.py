@@ -142,11 +142,14 @@ def test_the_storage_table_is_the_rank_table_in_dimension_0_order():
     xs, ys = _points(500, 3, "descending", True)
     data = Dataset(xs, ys)
     order, table, labels = data._storage
-    assert order.dtype == table.dtype == np.int32 and labels.dtype == np.int8
-    assert not (order.flags.writeable or table.flags.writeable or labels.flags.writeable)
+    rows = np.array(table[1:])
+    assert order.dtype == rows.dtype == np.int32 and labels.dtype == np.int8
+    assert not (order.flags.writeable or labels.flags.writeable or any(row.flags.writeable for row in table[1:]))
     assert np.array_equal(order, strict_rank(data.full_view(), 0))
-    assert np.array_equal(table[0], np.arange(500))
-    assert np.array_equal(table, data._rank_table[:, order])
+    # storage ids are dimension 0's ranks, which the table keeps no row for
+    assert table[0] is None and len(table) == 3
+    assert np.array_equal(data._rank_table[0, order], np.arange(500))
+    assert np.array_equal(rows, data._rank_table[1:, order])
     assert np.array_equal(labels, ys[order])
 
 
@@ -163,14 +166,25 @@ def test_an_untraced_only_dataset_holds_one_rank_table(algo):
     assert held <= 4 * d * n + 5 * n
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("algo", ("randomized", "lookahead"))
+def test_an_untraced_only_dataset_holds_no_row_for_dimension_0(algo, d):
+    # int32 ranks for dimensions 1..d-1, the int32 order and the int8 labels
+    n = 3_000
+    xs, ys = _points(n, d, "descending", False)
+    data = Dataset(xs, ys)
+    _build(algo, data, _config(algo, d))
+    cached = [getattr(data, name) for name in Dataset.__slots__ if name not in ("xs", "ys")]
+    assert sum(array.nbytes for array in cached if array is not None) == 4 * (d - 1) * n + 5 * n
+
+
 @pytest.mark.parametrize("sizes", ([0, 1, 2, 3, 500], [499, 500, 500], [500, 500]))
 def test_a_cut_where_the_ids_are_the_ranks_selects_what_the_ranks_select(sizes):
     # storage ids are dimension 0's ranks, so a row's ascending ids are its
     # points in order, with or without rows shorter than the width
     from celltree.median import _cut_positions, _cut_rows
 
-    xs, ys = _points(1_506, 2, "descending", True)
-    _, table, _ = Dataset(xs, ys)._storage
+    table = np.arange(1_506, dtype=np.int32)[None]  # ids that are their own ranks
     cells = [np.sort(c) for c in np.split(np.random.default_rng(1).permutation(1_506), np.cumsum(sizes))]
     matrix = np.zeros((len(sizes), 500), dtype=np.int32)  # filler id 0
     for row, c in zip(matrix, cells):
