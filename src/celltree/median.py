@@ -293,7 +293,7 @@ def locate_leaf(tree: FullTree, x) -> int:
     """Index of the leaf cell containing x. Requires a complete tree and d
     finite coordinates; anything else raises ValueError, as ``route`` does.
     The tree is converted to its cut table once, on the first call."""
-    x = np.asarray(x, dtype=np.float64)[None]  # one row, whose shape leaf_of checks
+    x = np.asarray(x)[None]  # one row, whose shape and values leaf_of checks
     return int(tree._cuts.leaf_of(x)[0])
 
 

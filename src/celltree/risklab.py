@@ -24,7 +24,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, PartitionTree, _integer, _real, predict_batch, route_depths
+from .core import (
+    _ROUTE_BLOCK_ROWS,
+    Dataset,
+    PartitionTree,
+    _float_array,
+    _integer,
+    _real,
+    predict_batch,
+    route_depths,
+)
 from .lookahead import LookaheadConfig, build_lookahead
 from .median import _partition_tree, build_full_tree
 from .randomized import RandomizedConfig, build_randomized
@@ -94,7 +103,7 @@ def get_distribution(name: str, d: int = 2, p: float = 0.5) -> SyntheticDistribu
 
 def bayes_classify(dist: SyntheticDistribution, x) -> int:
     """Bayes rule: predict 1 iff eta(x) > 1/2, ties to 0."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    x = _float_array(x, "query coordinates").reshape(1, -1)
     return int(dist.eta(x)[0] > 0.5)
 
 
@@ -118,8 +127,10 @@ class RiskEstimate:
     m: int
 
 
-# query rows that empirical_risk draws and predicts at a time
-_RISK_CHUNK_ROWS = 1 << 16
+# query rows that empirical_risk draws and predicts at a time: the router's
+# block. PCG64's draws do not depend on how they are chunked, so neither
+# does an estimate.
+_RISK_CHUNK_ROWS = _ROUTE_BLOCK_ROWS
 
 
 def empirical_risk(

@@ -2,11 +2,13 @@
 
 The builders hand their generation records, and the reader its checked
 generations, straight to ``core._cut_table``. ``Leaf`` and ``Internal``
-nodes are built only when ``tree.root`` is read, and a read tree's nodes are
-checked once.
+nodes are built only when ``tree.root`` is read. A read tree's nodes are
+checked once, by the per-node reader, or a canonical document's by its
+generation columns.
 """
 import dataclasses
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -67,13 +69,30 @@ def test_a_built_and_a_read_tree_hold_no_nodes_until_root_is_read():
 def test_a_read_tree_is_checked_once(monkeypatch):
     data = _data(5_000)
     doc = serialize_tree(build_randomized(data, RandomizedConfig(beta=0.9, seed=1)))
+    # json.dumps' default separators put the document outside the writer's
+    # grammar, so the per-node reader reads it
+    spaced = json.dumps(json.loads(doc)) + "\n"
     check, calls = core._check_node, []
     monkeypatch.setattr(core, "_check_node", lambda *args: calls.append(args) or check(*args))
-    tree = deserialize_tree(doc)
+    tree = deserialize_tree(spaced)
     predict_batch(tree, data.xs)
     stats = tree_stats(tree)
     assert serialize_tree(tree) == doc
     assert len(calls) == stats.nodes
+
+
+def test_a_canonical_document_is_checked_by_its_generation_columns(monkeypatch):
+    data = _data(5_000)
+    doc = serialize_tree(build_randomized(data, RandomizedConfig(beta=0.9, seed=1)))
+    nodes, columns = [], []
+    for name, calls in (("_check_node", nodes), ("_check_columns", columns)):
+        check = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, check=check, calls=calls: calls.append(args) or check(*args))
+    tree = deserialize_tree(doc)
+    predict_batch(tree, data.xs)
+    stats = tree_stats(tree)
+    assert serialize_tree(tree) == doc
+    assert nodes == [] and len(columns) == stats.max_depth + 1
 
 
 @pytest.mark.parametrize("build", ["randomized", "lookahead", "read"])

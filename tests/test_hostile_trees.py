@@ -1,11 +1,14 @@
 """Hostile tree documents: the reader refuses each with TreeSchemaError or reads
 a tree that writes and reads back to the same bytes, and the CLI ends every
-such document with a documented exit code, never a traceback."""
+such document with a documented exit code, never a traceback. The scan that
+reads documents in the writer's grammar reads what the per-node reader reads,
+and refuses nothing itself."""
 import contextlib
 import dataclasses
 import functools
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +31,9 @@ from celltree import (
     tree_stats,
     validate_tree,
 )
+from celltree import core
 from celltree.cli import main
+from celltree.core import MAX_TREE_DEPTH
 
 
 def _cli(*argv) -> tuple[int, str]:
@@ -137,6 +142,146 @@ def _read_or_refuse(text: str):
 @given(case=_mutated())
 def test_the_reader_refuses_or_roundtrips_a_mutated_document(case):
     _read_or_refuse(case[1])
+
+
+def _chain(d: int, mode: str, depth: int) -> str:
+    """A canonical document whose splits each hold the next in their first
+    child slot, down to a leaf at ``depth``."""
+    arity = 2 if mode == "binary" else 1 << d
+    leaf = '{"count0":0,"count1":1}'
+    close = '],"eaten":%d,"splits":[%s]}' % (arity - 1, ",".join(["[1,0.5]"] * (arity - 1)))
+    head = '{"config":{},"d":%d,"mode":"%s","root":' % (d, mode)
+    return head + '{"children":[' * depth + leaf + (("," + leaf) * (arity - 1) + close) * depth + "}\n"
+
+
+def _parts(doc: dict) -> tuple[list, list, list]:
+    """A parsed document's split nodes, leaf nodes and cut lists."""
+    splits, leaves, cuts = [], [], []
+    stack = [doc["root"]]
+    while stack:
+        node = stack.pop()
+        if "children" in node:
+            splits.append(node)
+            cuts += node["splits"]
+            stack += node["children"]
+        else:
+            leaves.append(node)
+    return splits, leaves, cuts
+
+
+# a leaf, a cut, a key, a number, a comma or a bracket of a canonical document
+_TOKEN = re.compile(r'\{"count0":\d+,"count1":\d+\}|\[\d+,[-+.\deE]+\]|"\w+":|-?\d[-+.\deE]*|[,\[\]{}]')
+_COUNTS = [2**63 - 1, 2**63, 2**64 + 1, 10**30]
+# each JSON spelling json.loads reads as a float, as the scan does, and the
+# integers, which it reads as ints: -0 among them, whose float is 0.0
+_THRESHOLDS = ["-0.0", "5e-324", "1e400", "-1e400", "1.50", "1E-5", "2.5e+2", "1", "-0", "0"]
+
+
+@st.composite
+def _canonical_mutant(draw) -> str | bytes:
+    """A canonical document of either builder at d = 1..3 with one edit: a
+    digit changed, a token deleted or doubled, two siblings swapped, a count,
+    a dimension or a threshold replaced, all written canonically; or a chain
+    around ``MAX_TREE_DEPTH`` deep, or the document's bytes."""
+    d, text = draw(st.sampled_from(_documents()))
+    kind = draw(st.sampled_from(["digit", "delete", "double", "swap", "count", "dim", "threshold",
+                                 "chain", "bytes"]))
+    if kind == "digit":
+        at = draw(st.sampled_from([m.start() for m in re.finditer(r"\d", text)]))
+        return text[:at] + draw(st.sampled_from("0123456789".replace(text[at], ""))) + text[at + 1:]
+    if kind in ("delete", "double"):
+        start, end = draw(st.sampled_from([m.span() for m in _TOKEN.finditer(text)]))
+        return text[:start] + text[start:end] * (2 if kind == "double" else 0) + text[end:]
+    if kind == "chain":
+        return _chain(d, json.loads(text)["mode"], MAX_TREE_DEPTH + draw(st.integers(-1, 1)))
+    if kind == "bytes":
+        return text.encode("utf-8")
+    doc = json.loads(text)
+    splits, leaves, cuts = _parts(doc)
+    if kind == "swap":
+        children = draw(st.sampled_from(splits))["children"]
+        i, j = draw(st.lists(st.integers(0, len(children) - 1), min_size=2, max_size=2, unique=True))
+        children[i], children[j] = children[j], children[i]
+    elif kind == "count":
+        draw(st.sampled_from(leaves))[draw(st.sampled_from(["count0", "count1"]))] = draw(st.sampled_from(_COUNTS))
+    elif kind == "dim":
+        draw(st.sampled_from(cuts))[0] = draw(st.sampled_from([0, d + 1]))
+    else:
+        draw(st.sampled_from(cuts))[1] = _MARK
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return text.replace(json.dumps(_MARK), draw(st.sampled_from(_THRESHOLDS)))
+
+
+def _reading(read, text):
+    """What ``read`` makes of ``text``: its refusal's message, or its tree's
+    cut table, header and written bytes."""
+    try:
+        tree = read(text)
+    except TreeSchemaError as exc:
+        return str(exc)
+    return tree._cuts, (tree.d, tree.mode, tree.config, serialize_tree(tree))
+
+
+def _assert_same_reading(text):
+    scanned, read = _reading(deserialize_tree, text), _reading(core._read_nodes, text)
+    assert type(scanned) is type(read)
+    if isinstance(read, str):
+        assert scanned == read
+        return
+    (table, head), (expected, expected_head) = scanned, read
+    assert head == expected_head
+    for column in ("count0", "count1", "labels", "depths", "dim_of", "thr_of", "eaten", "child"):
+        ours, theirs = getattr(table, column), getattr(expected, column)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), column
+    assert (table.d, table.arity, table.root) == (expected.d, expected.arity, expected.root)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_canonical_mutant())
+def test_the_scan_and_the_per_node_reader_read_a_canonical_mutant_alike(text):
+    _assert_same_reading(text)
+
+
+@pytest.mark.parametrize("d, text", _documents())
+def test_a_canonical_document_is_read_by_the_scan(monkeypatch, d, text):
+    def refuse(*args):
+        raise AssertionError("the per-node rule ran")
+    monkeypatch.setattr(core, "_check_node", refuse)
+    assert core._read_canonical(text) is not None
+    assert serialize_tree(deserialize_tree(text)) == text
+
+
+def _edit(pattern: str, replacement: str):
+    return lambda text: re.sub(pattern, replacement, text, count=1)
+
+
+@pytest.mark.parametrize("edit, scanned", [
+    (_edit(r'"count0":\d+', '"count0":%d' % (2**63 - 1)), True),
+    (_edit(r'"count0":\d+', '"count0":%d' % 2**63), False),  # beyond int64
+    (_edit(r'"count0":\d+', '"count0":-1'), False),
+    (_edit(r'\[\[\d+,', "[[0,"), False),  # dimensions are 1-based
+    (_edit(r'\[\[\d+,', "[[3,"), False),  # beyond d = 2
+    (_edit(r'(\[\[\d+,)[^\]]+', r"\g<1>1.50"), True),
+    (_edit(r'(\[\[\d+,)[^\]]+', r"\g<1>-0.0"), True),
+    (_edit(r'(\[\[\d+,)[^\]]+', r"\g<1>5e-324"), True),
+    (_edit(r'(\[\[\d+,)[^\]]+', r"\g<1>1e400"), False),  # not finite
+    (_edit(r'(\[\[\d+,)[^\]]+', r"\g<1>1"), False),  # an integer
+    (_edit(r'(\[\[\d+,)[^\]]+', r"\g<1>-0"), False),
+    (_edit(r',\{"count0":\d+,"count1":\d+\}', ""), False),  # a child too few
+    (_edit(r'\{"count0":\d+,"count1":\d+\}', r"\g<0>,\g<0>"), False),  # a child too many
+    (_edit(r'\{"count0"', '{ "count0"'), False),  # a byte outside the grammar
+    (_edit(r'\},\{', "},,{"), False),  # a comma where a node must follow
+    (_edit(r'"eaten":1', '"eaten":0'), False),
+    (_edit(r'"d":2', '"d": 2'), False),  # a header not in its own canonical form
+    (lambda text: text.rstrip("\n"), True),
+    (lambda text: _chain(2, "binary", MAX_TREE_DEPTH), True),
+    (lambda text: _chain(2, "binary", MAX_TREE_DEPTH + 1), False),
+    (lambda text: text.encode("utf-8"), False),
+])
+def test_the_scan_hands_back_what_it_cannot_read(edit, scanned):
+    text = edit(next(text for d, text in _documents() if d == 2 and '"binary"' in text))
+    assert (core._read_canonical(text) is not None) == scanned
+    _assert_same_reading(text)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ cube. ``locate_leaf`` must put every training point into the leaf cell whose
 view holds it.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from celltree import (
     build_lookahead,
     build_randomized,
     deserialize_tree,
+    get_distribution,
     locate_leaf,
     predict_batch,
     route,
@@ -32,6 +34,8 @@ from celltree import (
     tree_stats,
     validate_tree,
 )
+from celltree import core
+from celltree.risklab import bayes_classify
 
 # admissible with beta = 0.2 in each d
 LOOKAHEAD_ALPHA = {1: 0.4, 2: 0.25, 3: 0.185}
@@ -122,8 +126,6 @@ def test_chain_depths_reach_the_bottom():
 
 
 def test_a_tree_builds_its_cut_table_once(monkeypatch, rng):
-    from celltree import core
-
     tables = []
     build = core._cut_table
     monkeypatch.setattr(core, "_cut_table", lambda *args: tables.append(args) or build(*args))
@@ -200,3 +202,44 @@ def test_full_tree_conversion_matches_the_recursive_one(d, k, rng):
 
     want = PartitionTree(root=to_node(0, 0), d=d, mode="full", config={})
     assert _partition_tree(full) == want
+
+
+def test_complex_coordinates_and_queries_are_refused(rng):
+    with pytest.raises(ValueError, match="complex"):
+        Dataset([[0.1 + 2j, 0.3], [0.5, 0.2]], [0, 1])
+    xs = rng.random((200, 2))
+    data = Dataset(xs, (xs[:, 0] < 0.5).astype(np.int8))
+    tree = build_randomized(data, RandomizedConfig(0.9))
+    full = build_full_tree(data.full_view(), 1)
+    queries = xs[:3].astype(np.complex128)
+    queries[0, 0] += 3j
+    for query in (lambda: route(tree, [0.1 + 3j, 0.2]), lambda: predict_batch(tree, queries),
+                  lambda: route_depths(tree, queries), lambda: locate_leaf(full, [0.1 + 3j, 0.2]),
+                  lambda: bayes_classify(get_distribution("d-lin", d=2), [0.1 + 3j, 0.2])):
+        with pytest.raises(ValueError, match="complex"):
+            query()
+
+
+def test_routing_in_blocks_gives_the_leaves_of_one_pass(monkeypatch, rng):
+    xs = rng.random((3_000, 2))
+    tree = build_randomized(Dataset(xs, (xs.sum(axis=1) > 1).astype(np.int8)), RandomizedConfig(0.9))
+    queries = np.asfortranarray(rng.uniform(-0.5, 1.5, (1_001, 2)))  # not C-contiguous
+    whole = tree._cuts.leaf_of(queries)
+    monkeypatch.setattr(core, "_ROUTE_BLOCK_ROWS", 64)  # 1,001 is no multiple of 64
+    assert np.array_equal(tree._cuts.leaf_of(queries), whole)
+    assert_batch_matches_route(tree, queries[:200])
+
+
+def test_batch_routing_memory_is_bounded_by_the_block(rng):
+    xs = rng.random((20_000, 2))
+    tree = build_randomized(Dataset(xs, (xs.sum(axis=1) > 1).astype(np.int8)), RandomizedConfig(0.99))
+    queries = rng.random((1_000_000, 2))
+    predict_batch(tree, queries[:10])  # the cut table is the tree's, not the call's
+    tracemalloc.start()
+    try:
+        labels = predict_batch(tree, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 leaf ids (8 MB), the int8 labels and one block's temporaries
+    assert labels.shape == (1_000_000,) and peak < 16 << 20, peak / 2**20
